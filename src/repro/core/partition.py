@@ -121,7 +121,14 @@ def build_pair_partition(
             f"partition covers {partition.n_atoms} atoms, list has "
             f"{nlist.n_atoms}"
         )
-    i_idx, j_idx = nlist.pair_arrays()
+    return group_pairs(partition, *nlist.pair_arrays())
+
+
+def group_pairs(
+    partition: Partition, i_idx: np.ndarray, j_idx: np.ndarray
+) -> PairPartition:
+    """Group explicit half pairs ``(i_idx[k], j_idx[k])`` by the subdomain
+    of their row atom (the CSR behind :func:`build_pair_partition`)."""
     pair_sub = partition.subdomain_of_atom[i_idx]
     pair_perm = np.argsort(pair_sub, kind="stable")
     counts = np.bincount(pair_sub, minlength=partition.grid.n_subdomains)

@@ -279,7 +279,7 @@ def _measure_point(
             atoms, fe_potential(), calculator=calculator, tracer=tracer
         )
         with kernels.use_tier(tier):
-            # warmup evaluation: pool fork, shm arena, decomposition,
+            # warmup evaluation: group fork, shared arena, decomposition,
             # neighbor build, JIT — excluded from the measured window
             sim.compute_forces()
             if sample_resources:

@@ -230,12 +230,8 @@ def _trace_one(
             )
         nlist = sim.nlist
         shard_items = getattr(calculator, "shard_schedule_items", None)
-        pairs = getattr(calculator, "pair_partition", None) or getattr(
-            calculator, "last_pairs", None
-        )
-        schedule = getattr(calculator, "schedule", None) or getattr(
-            calculator, "last_schedule", None
-        )
+        pairs = getattr(calculator, "pair_partition", None)
+        schedule = getattr(calculator, "schedule", None)
         if shard_items is not None:
             # one metric set per shard, labeled with the shard dimension
             for shard, shard_pairs, shard_schedule in shard_items():

@@ -55,18 +55,11 @@ from repro.kernels.base import (
     reset_tier_warnings,
     warn_tier_once,
 )
-from repro.kernels.config import (
-    ENV_FASTMATH,
-    ENV_PARALLEL,
-    KernelTierConfig,
-    parse_tier_spec,
-)
+from repro.kernels.config import KernelTierConfig, parse_tier_spec
 from repro.kernels.numpy_tier import NumpyKernelTier
 
 __all__ = [
     "MIN_PAIR_SEPARATION",
-    "ENV_FASTMATH",
-    "ENV_PARALLEL",
     "KernelTier",
     "KernelTierConfig",
     "KernelTierWarning",

@@ -4,8 +4,8 @@ The tracer answers *who ran what when*; this module answers *what the
 processes consumed doing it*.  A :class:`ResourceSampler` periodically
 reads ``/proc/<pid>/stat`` (CPU jiffies), ``/proc/<pid>/statm`` (resident
 pages) and ``/proc/<pid>/status`` (context-switch counts) for the parent
-process and — through the process backend's ``worker_pids()`` — every
-live pool worker, plus the ``/dev/shm`` arena footprint through
+process and — through a process engine's ``worker_pids()`` — every
+live worker, plus the shared-arena footprint through
 ``arena_bytes()``.  No psutil: the three proc files are parsed directly,
 and on platforms without ``/proc`` the sampler degrades to a no-op.
 
@@ -132,7 +132,7 @@ class ResourceSampler:
         optional force calculator; when it exposes ``worker_pids()`` the
         sampler follows every live pool worker (re-polled per tick, so
         pool restarts swap tracks automatically), and ``arena_bytes()``
-        feeds the ``/dev/shm`` footprint counter.
+        feeds the shared-arena footprint counter.
     pid_provider / shm_provider:
         explicit callables overriding the calculator introspection —
         useful for tests and non-calculator consumers.
@@ -172,7 +172,7 @@ class ResourceSampler:
     # --- wiring ---------------------------------------------------------------
 
     def attach_calculator(self, calculator: object) -> None:
-        """Follow ``calculator``'s worker pids and shared-memory arena."""
+        """Follow ``calculator``'s worker pids and shared arena."""
         pids = getattr(calculator, "worker_pids", None)
         if callable(pids):
             self._pid_provider = pids

@@ -228,18 +228,6 @@ class ExecutionBackend(ABC):
 
         return run
 
-    def worker_pids(self) -> List[int]:
-        """OS pids of worker *processes* this backend currently owns.
-
-        Serial and thread backends run everything inside the calling
-        process, so the base implementation returns an empty list — the
-        resource sampler already follows the parent pid and would double
-        count it.  The process engine overrides this with its live pool
-        pids (re-polled by the sampler each tick, so a pool restart swaps
-        counter tracks automatically).
-        """
-        return []
-
     def health_snapshot(self) -> dict:
         """Backend lifecycle state for the health plane.
 

@@ -1,65 +1,41 @@
-"""Persistent process-parallel SDC: a reusable fork pool + shared arena.
+"""Process-parallel SDC: color-chunk programs on the forked worker group.
 
 Python's GIL caps what :class:`~repro.parallel.backends.threads.ThreadBackend`
-can demonstrate; this module runs the SDC color phases across *processes*,
-the closest Python analog of the paper's OpenMP threads:
+can demonstrate; this engine runs the SDC color phases across *processes*,
+the closest Python analog of the paper's OpenMP threads.  It runs on the
+substrate of :mod:`repro.parallel.backends.group`, the same one the
+sharded engine uses:
 
-* all exchanged arrays — positions, the pair partition's CSR, and the
-  reduction targets (rho, embedding derivatives, forces) — live in POSIX
-  shared memory, mapped by every worker;
-* within a color phase, workers scatter concurrently **without any
-  locks** — legal for exactly the reason the paper gives: same-color
-  subdomains have disjoint write sets (different array elements, no torn
-  updates);
-* gathering the phase's futures is the implicit barrier between colors.
+* at each *epoch* — a new neighbor list, potential, resolved kernel tier
+  or box — the engine builds the grid, coloring, pair partition and color
+  schedule, allocates one anonymous shared arena (positions, rho,
+  embedding derivatives, forces and the cached pair geometry), binds
+  each worker's ``static_assignment`` chunk of every color into
+  ``density:<c>``/``force:<c>`` closures, and forks the group.  This
+  honors the paper's amortization argument ("steps 1 and 2 will be done
+  when the neighbor list is created or updated", Section II.D);
+* each step syncs positions into the arena, zeroes the reduction arrays,
+  and runs one group phase per color.  Within a phase, workers scatter
+  concurrently **without any locks** — legal for exactly the reason the
+  paper gives: same-color subdomains have disjoint write sets.  The
+  density pass publishes each pair's minimum-image geometry, which the
+  force pass reuses; the embedding runs in the parent between the two.
 
-The engine is *persistent*, honoring the paper's amortization argument
-("steps 1 and 2 will be done when the neighbor list is created or
-updated", Section II.D) the same way the threaded path does:
-
-* the fork pool is created once per calculator and reused across
-  ``compute`` calls; it is only restarted lazily after a worker dies or
-  when a different potential object arrives (the potential is baked into
-  the workers at fork time);
-* the shared-memory arena is sized to the system and resized only when
-  the atom count or decomposition size changes; each step merely syncs
-  positions and zeroes the reduction arrays in place (the ``sync`` phase)
-  instead of re-forking state;
-* the decomposition (grid / pair partition / color schedule) is cached on
-  neighbor-list identity, mirroring ``SDCStrategy._prepare`` — so a
-  steady-state step pays only kernel + barrier cost plus one positions
-  memcpy.
-
-Epoch protocol: every task payload carries a small *spec* (epoch counter,
-segment names, shapes, box).  Workers cache their attached views keyed on
-the epoch and re-attach only when it changes, so decomposition rebuilds
-and arena resizes propagate to live workers without restarting the pool.
-
-Robustness: a worker killed mid-phase surfaces as
-:class:`~repro.parallel.backends.base.BackendError` (never a hang, never
-partial scatters — the whole evaluation restarts from the ``sync`` zero
-fill), and ``compute`` transparently restarts the pool and retries once.
-Segment cleanup is guaranteed by ``close()``, a ``weakref.finalize``
-(which also fires at interpreter exit), and idempotent release — no
-``/dev/shm`` leaks survive exceptions, GC without ``close()``, or kills.
+Worker death, the restart-once rule and cleanup are the substrate's
+(DESIGN.md §7.1).
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
-import os
-import time
-import weakref
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import kernels
 from repro.core.coloring import lattice_coloring, validate_coloring
-from repro.core.domain import SubdomainGrid, decompose, decompose_balanced
+from repro.core.domain import SubdomainGrid, decompose_balanced
 from repro.core.partition import (
     PairPartition,
     build_pair_partition,
@@ -68,296 +44,103 @@ from repro.core.partition import (
 from repro.core.schedule import ColorSchedule, build_schedule, static_assignment
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
-from repro.parallel.backends.base import BackendError
+from repro.parallel.backends.group import (
+    GroupEngine,
+    Program,
+    _Arena,
+    count_health,
+)
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import EAMComputation
-from repro.utils.profiler import (
-    NULL_PHASE,
-    PHASE_BARRIER,
-    PHASE_NEIGHBOR,
-    PHASE_SETUP,
-    PHASE_SYNC,
-    PhaseProfiler,
-)
-
-#: timing element of every worker result: where and when the chunk ran,
-#: in the *worker's* clock domain — the parent aligns it with
-#: :func:`repro.obs.tracer.align_worker_spans`
-WorkerTiming = Dict[str, float]
-
-#: seconds the startup rendezvous waits for all workers to fork before
-#: declaring the pool dead (generous — forking is milliseconds)
-_WARM_TIMEOUT_S = 60.0
+from repro.utils.profiler import PHASE_NEIGHBOR, PHASE_SETUP, PHASE_SYNC
 
 
-def _record_health(event: str, severity: str = "info", **fields: object) -> None:
-    """Record an ``engine``-category health event (never raises)."""
-    try:
-        from repro.obs.recorder import record
+def _chunk_program(
+    chunks: Sequence[Sequence[int]],
+    pairs: PairPartition,
+    views: Dict[str, np.ndarray],
+    potential: EAMPotential,
+    tier,
+    box,
+    record_writes: bool,
+) -> Program:
+    """One worker's phase closures: its chunk of every color, both passes.
 
-        record("engine", event, severity=severity, **fields)
-    except Exception:  # pragma: no cover - health plane must stay optional
-        pass
-
-
-def _count_health(name: str) -> None:
-    """Bump a named health counter (never raises)."""
-    try:
-        from repro.obs.recorder import count
-
-        count(name)
-    except Exception:  # pragma: no cover - health plane must stay optional
-        pass
-
-
-def _arena_layout(
-    n_atoms: int, n_pairs: int, n_subdomains: int
-) -> Dict[str, Tuple[Tuple[int, ...], np.dtype]]:
-    """Shape and dtype of every shared segment for a given system size.
-
-    ``pair_delta``/``pair_r`` cache the minimum-image geometry computed by
-    the density phase so the force phase (and the pair energy) reuse it
-    instead of recomputing — each pair slot belongs to exactly one
-    subdomain, so the writes are disjoint by construction.
+    ``chunks[c]`` lists the worker's subdomains of color ``c``.  Each
+    closure returns ``(pair_energy, writes)``: the density pass sums the
+    chunk's pair energy while it holds each pair's distance, and
+    ``writes`` is the flat written-index list when ``record_writes`` is
+    on (the shadowed arrays write through to the arena), else None.
     """
-    f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
-    return {
-        "positions": ((n_atoms, 3), f8),
-        "rho": ((n_atoms,), f8),
-        "fp": ((n_atoms,), f8),
-        "forces": ((n_atoms, 3), f8),
-        "pair_i": ((n_pairs,), i8),
-        "pair_j": ((n_pairs,), i8),
-        "pair_offsets": ((n_subdomains + 1,), i8),
-        "pair_delta": ((n_pairs, 3), f8),
-        "pair_r": ((n_pairs,), f8),
-    }
+    positions = views["positions"]
+    rho = views["rho"]
+    fp = views["fp"]
+    forces = views["forces"]
+    pair_delta = views["pair_delta"]
+    pair_r = views["pair_r"]
+    offsets = pairs.offsets
+    pair_i = pairs.i_idx
+    pair_j = pairs.j_idx
 
+    def shadow(array: np.ndarray, name: str):
+        if not record_writes:
+            return array, None
+        from repro.analysis.shadow import TaskWriteLog, wrap_array
 
-# --- worker side ---------------------------------------------------------------
+        log = TaskWriteLog()
+        return wrap_array(array, name, log), log
 
-#: per-*process* state of the owning pool's workers.  Each calculator owns
-#: its own pool, so this global is private to that calculator's workers —
-#: two live calculators can never clobber each other (their pools fork
-#: with different initargs).
-_WORKER: dict = {}
-
-
-def _init_worker(potential: EAMPotential, record: bool, barrier) -> None:
-    """Pool initializer: bake the fork-constant state into this process."""
-    _WORKER.clear()
-    _WORKER.update(
-        potential=potential,
-        record=record,
-        barrier=barrier,
-        epoch=None,
-        segments={},
-        arrays={},
-        box=None,
-        tier_name=None,
-        tier=None,
-    )
-
-
-def _worker_tier(name: str):
-    """Resolve (and cache) this worker's kernel tier from its task payload.
-
-    The parent ships the *resolved* tier name, so a worker never repeats
-    the ``auto`` probe or re-warns about an unavailable tier — forked
-    workers see the same installed packages as the parent anyway.
-    """
-    if _WORKER.get("tier_name") != name:
-        _WORKER["tier"] = kernels.get(name)
-        _WORKER["tier_name"] = name
-    return _WORKER["tier"]
-
-
-def _probe_worker_tier(timeout: float) -> Tuple[int, Optional[str], Optional[str]]:
-    """Diagnostic task: report this worker's resolved kernel-tier state.
-
-    Returns ``(pid, tier_name_from_payload, resolved_tier.name)``.  The
-    barrier rendezvous guarantees that ``n_workers`` concurrent probes
-    land on ``n_workers`` *distinct* workers, so the parent can assert
-    every worker (not just a lucky one) resolved the variant it shipped.
-    """
-    _WORKER["barrier"].wait(timeout=timeout)
-    tier = _WORKER.get("tier")
-    return (
-        os.getpid(),
-        _WORKER.get("tier_name"),
-        tier.name if tier is not None else None,
-    )
-
-
-def _warm_worker(timeout: float) -> int:
-    """Startup task: rendezvous so every pool slot forks a real worker.
-
-    Each warm task blocks on the fork-inherited barrier until all
-    ``n_workers`` processes are up — the executor spawns workers lazily,
-    and without the rendezvous one idle worker could swallow every warm
-    task, leaving the pool under-forked.
-    """
-    _WORKER["barrier"].wait(timeout=timeout)
-    return os.getpid()
-
-
-def _attach_epoch(spec: dict) -> None:
-    """(Re)attach this worker's shared-array views for the spec's epoch."""
-    if _WORKER.get("epoch") == spec["epoch"]:
-        return
-    for segment in _WORKER["segments"].values():
-        segment.close()
-    layout = _arena_layout(
-        spec["n_atoms"], spec["n_pairs"], spec["n_subdomains"]
-    )
-    segments: Dict[str, shared_memory.SharedMemory] = {}
-    arrays: Dict[str, np.ndarray] = {}
-    for key, (shape, dtype) in layout.items():
-        segment = shared_memory.SharedMemory(name=spec["names"][key])
-        segments[key] = segment
-        arrays[key] = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-    _WORKER["segments"] = segments
-    _WORKER["arrays"] = arrays
-    _WORKER["box"] = spec["box"]
-    _WORKER["epoch"] = spec["epoch"]
-
-
-def _worker_pairs_of(
-    subdomain: int,
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    arrays = _WORKER["arrays"]
-    offsets = arrays["pair_offsets"]
-    lo, hi = int(offsets[subdomain]), int(offsets[subdomain + 1])
-    return arrays["pair_i"][lo:hi], arrays["pair_j"][lo:hi], lo, hi
-
-
-def _worker_shadow(array: np.ndarray, name: str):
-    """Wrap a worker's view of a shared array in a write recorder.
-
-    Returns ``(array_to_use, log)``; ``log`` is None when recording is
-    off.  The shadow writes through to the same shared memory — only the
-    index bookkeeping is worker-local.
-    """
-    if not _WORKER.get("record"):
-        return array, None
-    from repro.analysis.shadow import TaskWriteLog, wrap_array
-
-    log = TaskWriteLog()
-    return wrap_array(array, name, log), log
-
-
-def _worker_timing(start: float) -> WorkerTiming:
-    """Worker-clock provenance for one executed chunk."""
-    return {"pid": float(os.getpid()), "origin": start}
-
-
-def _run_chunk(
-    task: Tuple[dict, str, Sequence[int], str],
-) -> Tuple[float, Optional[List[int]], WorkerTiming, float]:
-    """Execute one chunk of same-color subdomains (density or force).
-
-    The density pass also publishes each pair's minimum-image geometry
-    into the arena (``pair_delta``/``pair_r``; each pair slot belongs to
-    exactly one subdomain, so the writes are disjoint) and returns the
-    chunk's pair-energy partial sum — the force pass and the parent then
-    reuse the geometry instead of recomputing it.
-    """
-    spec, kind, subdomains, tier_name = task
-    _attach_epoch(spec)
-    tier = _worker_tier(tier_name)
-    arrays = _WORKER["arrays"]
-    potential = _WORKER["potential"]
-    box = _WORKER["box"]
-    positions = arrays["positions"]
-    pair_energy = 0.0
-    start = time.perf_counter()
-    if kind == "density":
-        rho, log = _worker_shadow(arrays["rho"], "rho")
+    def density(subdomains: Sequence[int]) -> Tuple[float, Optional[List[int]]]:
+        target, log = shadow(rho, "rho")
+        pair_energy = 0.0
         for s in subdomains:
-            i_idx, j_idx, lo, hi = _worker_pairs_of(int(s))
-            if len(i_idx) == 0:
+            lo, hi = int(offsets[s]), int(offsets[s + 1])
+            if lo == hi:
                 continue
+            i_idx, j_idx = pair_i[lo:hi], pair_j[lo:hi]
             delta, r = tier.pair_geometry(positions, box, i_idx, j_idx)
-            arrays["pair_delta"][lo:hi] = delta
-            arrays["pair_r"][lo:hi] = r
+            pair_delta[lo:hi] = delta
+            pair_r[lo:hi] = r
             pair_energy += float(np.sum(potential.pair_energy(r)))
             phi = tier.density_pair_values(potential, r)
-            tier.scatter_rho_half(rho, i_idx, j_idx, phi)
-        writes = log.flat("rho").tolist() if log is not None else None
-    elif kind == "force":
-        fp = arrays["fp"]
-        forces, log = _worker_shadow(arrays["forces"], "forces")
+            tier.scatter_rho_half(target, i_idx, j_idx, phi)
+        return pair_energy, log.flat("rho").tolist() if log is not None else None
+
+    def force(subdomains: Sequence[int]) -> Tuple[float, Optional[List[int]]]:
+        target, log = shadow(forces, "forces")
         for s in subdomains:
-            i_idx, j_idx, lo, hi = _worker_pairs_of(int(s))
-            if len(i_idx) == 0:
+            lo, hi = int(offsets[s]), int(offsets[s + 1])
+            if lo == hi:
                 continue
+            i_idx, j_idx = pair_i[lo:hi], pair_j[lo:hi]
             # geometry cached by the density pass for these exact positions
-            delta = arrays["pair_delta"][lo:hi]
-            r = arrays["pair_r"][lo:hi]
             coeff = tier.force_pair_coefficients(
-                potential, r, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
+                potential, pair_r[lo:hi], fp[i_idx], fp[j_idx],
+                pair_ids=(i_idx, j_idx),
             )
-            pair_forces = coeff[:, None] * delta
-            tier.scatter_force_half(forces, i_idx, j_idx, pair_forces)
-        writes = log.flat("forces").tolist() if log is not None else None
-    else:  # pragma: no cover - parent only submits the two kinds
-        raise ValueError(f"unknown chunk kind {kind!r}")
-    elapsed = time.perf_counter() - start
-    return elapsed, writes, _worker_timing(start), pair_energy
+            pair_forces = coeff[:, None] * pair_delta[lo:hi]
+            tier.scatter_force_half(target, i_idx, j_idx, pair_forces)
+        return 0.0, log.flat("forces").tolist() if log is not None else None
+
+    program: Program = {"tier": lambda: tier.name}
+    for color, subdomains in enumerate(chunks):
+        subdomains = [int(s) for s in subdomains]
+        program[f"density:{color}"] = functools.partial(density, subdomains)
+        program[f"force:{color}"] = functools.partial(force, subdomains)
+    return program
 
 
-# --- parent side ---------------------------------------------------------------
-
-
-class _Resources:
-    """Owns the pool and the shared segments; releasable exactly once-ish.
-
-    Kept separate from the calculator so a ``weakref.finalize`` on the
-    calculator can release everything without resurrecting it.  Release is
-    idempotent and the holder is refillable (a closed calculator revives
-    lazily on the next ``compute``).
-    """
-
-    def __init__(self) -> None:
-        self.segments: Dict[str, shared_memory.SharedMemory] = {}
-        self.executor: Optional[ProcessPoolExecutor] = None
-
-    def discard_executor(self, wait: bool = True) -> None:
-        executor, self.executor = self.executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait, cancel_futures=True)
-
-    def discard_segments(self, keys: Optional[Sequence[str]] = None) -> None:
-        keys = list(self.segments) if keys is None else list(keys)
-        for key in keys:
-            segment = self.segments.pop(key, None)
-            if segment is None:
-                continue
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    def release(self) -> None:
-        """Shut the pool down first, then unlink every segment."""
-        self.discard_executor(wait=True)
-        self.discard_segments()
-
-
-class ProcessSDCCalculator:
-    """SDC force computation on a persistent pool of forked workers.
+class ProcessSDCCalculator(GroupEngine):
+    """SDC force computation on a forked worker group.
 
     Satisfies the :class:`~repro.md.simulation.ForceCalculator` protocol.
     Requires a platform with the ``fork`` start method (Linux).
 
-    Lifecycle: the pool and the shared-memory arena are created lazily on
-    the first ``compute`` and reused across calls; ``close()`` (or the
-    context-manager exit) releases both.  A closed calculator revives on
-    the next ``compute``.  Worker death raises
-    :class:`~repro.parallel.backends.base.BackendError` after one
-    transparent pool restart + retry (``restart_on_failure=False``
-    disables the retry).
+    ``close()`` (or the context-manager exit) releases the group and the
+    arena; a closed calculator revives on the next ``compute``.  Worker
+    death raises :class:`~repro.parallel.backends.base.BackendError`
+    after one transparent group restart + retry
+    (``restart_on_failure=False`` disables the retry).
     """
 
     name = "sdc-processes"
@@ -366,8 +149,6 @@ class ProcessSDCCalculator:
         self,
         dims: int = 2,
         n_workers: int = 2,
-        axes: Optional[Sequence[int]] = None,
-        adaptive: bool = True,
         record_writes: bool = False,
         restart_on_failure: bool = True,
         kernel_tier: "kernels.TierSpec" = None,
@@ -378,259 +159,70 @@ class ProcessSDCCalculator:
             raise ValueError("n_workers must be >= 1")
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError("ProcessSDCCalculator requires fork support")
+        super().__init__(kernel_tier, restart_on_failure)
         self.dims = dims
         self.n_workers = n_workers
-        #: pinned kernel tier for the worker chunks; None follows the
-        #: parent's active tier at each compute (resolved eagerly so an
-        #: unknown spec or an unavailable-tier fallback surfaces here)
-        self._tier = kernels.get(kernel_tier) if kernel_tier is not None else None
-        self.axes = list(axes) if axes is not None else None
-        self.adaptive = adaptive
-        #: when True, workers shadow their shared-array views and ship the
-        #: flat write indices back; ``last_write_record`` then holds one
-        #: ``(kind, per_chunk_write_sets)`` entry per color phase for the
+        #: when True, workers shadow their arena views and ship the flat
+        #: write indices back; ``last_write_record`` then holds one
+        #: ``(kind, per_worker_write_sets)`` entry per color phase for the
         #: dynamic race detector (repro.analysis.racecheck)
         self.record_writes = record_writes
-        self.restart_on_failure = restart_on_failure
         self.last_write_record: List[Tuple[str, List[List[int]]]] = []
-        self._profiler: Optional[PhaseProfiler] = None
-        self._tracer = None
-        self._trace_phase = 0
-        # decomposition cache, keyed on neighbor-list identity (mirrors
-        # SDCStrategy._prepare)
-        self._cached_nlist_id: Optional[int] = None
+        # epoch state, keyed on (neighbor list, potential, tier, box)
+        self._key: Optional[tuple] = None
         self._grid: Optional[SubdomainGrid] = None
         self._pairs: Optional[PairPartition] = None
         self._schedule: Optional[ColorSchedule] = None
-        # shared-memory arena + pool
-        self._resources = _Resources()
-        self._finalizer = weakref.finalize(self, self._resources.release)
-        self._arrays: Dict[str, np.ndarray] = {}
-        self._shapes: Dict[str, Tuple[int, ...]] = {}
-        self._epoch = 0
-        self._spec: Optional[dict] = None
-        self._pool_potential: Optional[EAMPotential] = None
-        # lifecycle counters surfaced by health_snapshot()
-        self._n_pool_spawns = 0
-        self._n_restarts = 0
-        self._n_worker_deaths = 0
 
     # --- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the pool down and unlink every shared segment (idempotent).
+        """Stop the worker group and unmap the arena (idempotent).
 
-        The calculator stays usable: the next ``compute`` re-creates the
-        pool and arena from scratch.
+        The calculator stays usable: the next ``compute`` rebuilds the
+        epoch from scratch.
         """
-        if self._resources.executor is not None or self._resources.segments:
-            _record_health(
+        if self._resources.group is not None:
+            self._health(
                 "engine-close",
                 n_workers=self.n_workers,
-                shm_bytes_released=self.arena_bytes(),
+                arena_bytes_released=self.arena_bytes(),
             )
         self._resources.release()
-        self._arrays = {}
-        self._shapes = {}
-        self._spec = None
-        self._pool_potential = None
-        self._cached_nlist_id = None
+        self._key = None
+        self._programs = []
         self._pairs = None
         self._schedule = None
         self._grid = None
 
-    def __enter__(self) -> "ProcessSDCCalculator":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    @property
-    def kernel_tier(self) -> str:
-        """Resolved tier name the worker chunks run on this compute."""
-        tier = self._tier if self._tier is not None else kernels.active_tier()
-        return tier.name
-
-    def set_kernel_tier(self, tier) -> None:
-        """Pin the worker chunks' kernel tier (None reverts to the
-        parent's active tier at each compute).
-
-        Accepts anything :func:`repro.kernels.get` accepts — a variant
-        spec string such as ``"numba-parallel"``, a
-        :class:`~repro.kernels.KernelTierConfig`, or a live tier.  The
-        *resolved* variant name ships inside every task payload, so
-        forked workers rebuild exactly this variant instead of
-        inheriting whatever import-time flags the parent process had.
-        """
-        self._tier = kernels.get(tier) if tier is not None else None
-
-    def worker_kernel_tiers(self, timeout: float = 30.0) -> Dict[int, str]:
+    def worker_kernel_tiers(self) -> Dict[int, str]:
         """Resolved tier name per live worker pid (diagnostic).
 
-        Submits one barrier-rendezvous probe per pool slot, so every
-        worker answers once.  Workers that have not yet run a chunk
-        report the empty string.  Requires a live pool (compute at least
-        once first).
+        Requires a live group (compute at least once first).
         """
-        executor = self._resources.executor
-        if executor is None:
-            raise RuntimeError("no live pool; call compute() first")
-        futures = [
-            executor.submit(_probe_worker_tier, timeout)
-            for _ in range(self.n_workers)
-        ]
-        out: Dict[int, str] = {}
-        for future in futures:
-            pid, _, resolved = future.result(timeout=timeout)
-            out[pid] = resolved or ""
-        return out
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of the live pool workers (empty before the first compute)."""
-        executor = self._resources.executor
-        if executor is None:
-            return []
-        return list(getattr(executor, "_processes", {}))
-
-    def arena_bytes(self) -> int:
-        """Total bytes of live ``/dev/shm`` segments this engine owns."""
-        return sum(
-            segment.size for segment in self._resources.segments.values()
-        )
+        group = self._resources.group
+        if group is None:
+            raise RuntimeError("no live worker group; call compute() first")
+        names = group.run_phase("tier")
+        return {t.pid: name for t, name in zip(group.timings, names)}
 
     def health_snapshot(self) -> Dict[str, object]:
         """Engine lifecycle state for :meth:`HealthMonitor.snapshot`."""
         return {
             "engine": self.name,
-            "pool_live": self._resources.executor is not None,
+            "pool_live": self._resources.group is not None,
             "n_workers": self.n_workers,
             "worker_pids": self.worker_pids(),
             "epoch": self._epoch,
-            "arena_segments": len(self._resources.segments),
             "arena_bytes": self.arena_bytes(),
-            "n_pool_spawns": self._n_pool_spawns,
+            "n_pool_spawns": self._n_spawns,
             "n_restarts": self._n_restarts,
             "n_worker_deaths": self._n_worker_deaths,
             "kernel_tier": self.kernel_tier,
             "decomposition_cached": self._pairs is not None,
         }
 
-    # --- observability ---------------------------------------------------------
-
-    def attach_profiler(self, profiler: PhaseProfiler) -> None:
-        """Record per-phase wall-clock (and barrier slack) into *profiler*."""
-        self._profiler = profiler
-
-    def detach_profiler(self) -> None:
-        self._profiler = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Record timeline spans (incl. worker-side chunks) into *tracer*.
-
-        Worker chunks ship their ``perf_counter`` origin back with their
-        results; the parent aligns them into its own clock domain
-        (:func:`repro.obs.tracer.align_worker_spans`) and lays each worker
-        out on a ``worker-<pid>`` track.
-        """
-        self._tracer = tracer
-        self._trace_phase = 0
-
-    def detach_tracer(self) -> None:
-        self._tracer = None
-
-    def _phase(self, name: str):
-        if self._profiler is None:
-            return NULL_PHASE
-        return self._profiler.phase(name)
-
-    def _span(self, name: str, **args):
-        if self._tracer is None:
-            return NULL_PHASE
-        return self._tracer.span(name, **args)
-
-    def _trace_chunks(
-        self,
-        label: str,
-        results: Sequence[Tuple[float, object, WorkerTiming, float]],
-        window_start: float,
-        window_end: float,
-    ) -> None:
-        """Align worker chunk timings into the parent timeline as spans."""
-        from repro.obs.tracer import (
-            CAT_BARRIER,
-            CAT_PHASE,
-            CAT_TASK,
-            Span,
-            align_worker_spans,
-        )
-
-        phase = self._trace_phase
-        self._trace_phase += 1
-        for task, (elapsed, _, timing, _) in enumerate(results):
-            pid = int(timing["pid"])
-            raw = Span(
-                name=f"{label}:chunk",
-                category=CAT_TASK,
-                start_s=timing["origin"],
-                duration_s=elapsed,
-                pid=pid,
-                track=f"worker-{pid}",
-                args={"phase": phase, "task": task},
-            )
-            (span,) = align_worker_spans(
-                [raw], timing["origin"], window_start, window_end
-            )
-            self._tracer.record(span)
-            wait = window_end - span.end_s
-            if wait > 0.0:
-                self._tracer.record(
-                    Span(
-                        name="barrier-wait",
-                        category=CAT_BARRIER,
-                        start_s=span.end_s,
-                        duration_s=wait,
-                        pid=pid,
-                        track=span.track,
-                        args={"phase": phase},
-                    )
-                )
-        self._tracer.add(
-            f"{label}/phase{phase}",
-            CAT_PHASE,
-            window_start,
-            window_end - window_start,
-            phase=phase,
-            n_tasks=len(results),
-        )
-
-    # --- decomposition cache ---------------------------------------------------
-
-    def _prepare(self, atoms: Atoms, nlist: NeighborList) -> bool:
-        """(Re)build grid/partition/coloring when the neighbor list changed.
-
-        Matches the paper: "steps 1 and 2 will be done when the neighbor
-        list is created or updated".  Returns True when a rebuild happened
-        (the caller must then republish the pair CSR to the arena).
-        """
-        if self._cached_nlist_id == id(nlist) and self._pairs is not None:
-            _count_health("sdc_decomp_cache_hit")
-            return False
-        _count_health("sdc_decomp_cache_miss")
-        reach = nlist.cutoff + nlist.skin
-        if self.adaptive:
-            grid = decompose_balanced(
-                atoms.box, reach, self.dims, self.n_workers, axes=self.axes
-            )
-        else:
-            grid = decompose(atoms.box, reach, self.dims, axes=self.axes)
-        coloring = lattice_coloring(grid)
-        validate_coloring(grid, coloring)
-        partition = build_partition(nlist.reference_positions, grid)
-        self._pairs = build_pair_partition(partition, nlist)
-        self._schedule = build_schedule(coloring)
-        self._grid = grid
-        self._cached_nlist_id = id(nlist)
-        return True
+    # --- epoch -------------------------------------------------------------------
 
     @property
     def grid(self) -> Optional[SubdomainGrid]:
@@ -647,253 +239,116 @@ class ProcessSDCCalculator:
         """The cached color schedule (None before the first compute)."""
         return self._schedule
 
-    # kept as aliases for observability consumers (schedule metrics, tests)
-    @property
-    def last_pairs(self) -> Optional[PairPartition]:
-        return self._pairs
+    def _prepare(
+        self, potential: EAMPotential, atoms: Atoms, nlist: NeighborList
+    ) -> bool:
+        """(Re)build grid/partition/coloring/schedule at a new epoch.
 
-    @property
-    def last_schedule(self) -> Optional[ColorSchedule]:
-        return self._schedule
-
-    # --- arena + pool management ----------------------------------------------
-
-    def _ensure_arena(self, atoms: Atoms, rebuilt: bool) -> None:
-        """Size the shared segments to the system; republish pairs on rebuild.
-
-        Segments are recreated (new names → epoch bump → workers
-        re-attach) only when a shape changed; a steady-state call is a
-        no-op.
+        Returns True when a new epoch started (the caller then binds the
+        programs and forks the group).  A broken group left behind by a
+        failed compute also starts a new epoch.
         """
-        assert self._pairs is not None
-        n = atoms.n_atoms
-        layout = _arena_layout(
-            n, self._pairs.n_pairs, self._grid.n_subdomains
-        )
-        resized = False
-        for key, (shape, dtype) in layout.items():
-            if self._shapes.get(key) == shape and key in self._resources.segments:
-                continue
-            self._resources.discard_segments([key])
-            nbytes = max(int(np.prod(shape)) * dtype.itemsize, 1)
-            segment = shared_memory.SharedMemory(create=True, size=nbytes)
-            self._resources.segments[key] = segment
-            self._arrays[key] = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-            self._shapes[key] = shape
-            resized = True
-        if rebuilt or resized:
-            self._arrays["pair_i"][:] = self._pairs.i_idx
-            self._arrays["pair_j"][:] = self._pairs.j_idx
-            self._arrays["pair_offsets"][:] = self._pairs.offsets
-        if resized or self._spec is None or not self._box_matches(atoms.box):
-            self._epoch += 1
-            self._spec = {
-                "epoch": self._epoch,
-                "n_atoms": n,
-                "n_pairs": self._pairs.n_pairs,
-                "n_subdomains": self._grid.n_subdomains,
-                "box": atoms.box,
-                "names": {
-                    key: segment.name
-                    for key, segment in self._resources.segments.items()
-                },
-            }
-            _record_health(
-                "arena-resize" if resized else "arena-respec",
-                epoch=self._epoch,
-                n_atoms=n,
-                n_pairs=self._pairs.n_pairs,
-                shm_bytes=self.arena_bytes(),
-            )
+        box = atoms.box
+        key = (id(nlist), id(potential), self.kernel_tier,
+               tuple(box.lengths), tuple(box.periodic))
+        group = self._resources.group
+        if self._key == key and group is not None and not group.broken:
+            count_health("sdc_decomp_cache_hit")
+            return False
+        count_health("sdc_decomp_cache_miss")
+        self._resources.release()
+        reach = nlist.cutoff + nlist.skin
+        grid = decompose_balanced(box, reach, self.dims, self.n_workers)
+        coloring = lattice_coloring(grid)
+        validate_coloring(grid, coloring)
+        partition = build_partition(nlist.reference_positions, grid)
+        self._pairs = build_pair_partition(partition, nlist)
+        self._schedule = build_schedule(coloring)
+        self._grid = grid
+        self._key = key
+        return True
 
-    def _box_matches(self, box) -> bool:
-        cached = None if self._spec is None else self._spec["box"]
-        return cached is not None and np.array_equal(
-            cached.lengths, box.lengths
-        ) and np.array_equal(cached.periodic, box.periodic)
-
-    def _ensure_executor(self, potential: EAMPotential) -> None:
-        """Create (or lazily re-create) the fork pool, warm-forking workers.
-
-        The potential is fork-constant worker state; a different potential
-        object restarts the pool (rare — normally one potential per run).
-        """
-        if (
-            self._resources.executor is not None
-            and potential is not self._pool_potential
-        ):
-            self._resources.discard_executor()
-        if self._resources.executor is None:
-            started = time.perf_counter()
-            ctx = mp.get_context("fork")
-            barrier = ctx.Barrier(self.n_workers)
-            executor = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=ctx,
-                initializer=_init_worker,
-                initargs=(potential, self.record_writes, barrier),
+    def _bind_epoch(self, potential: EAMPotential, atoms: Atoms) -> None:
+        """Allocate the arena, bind every worker's program, fork the group."""
+        n, n_pairs = atoms.n_atoms, self._pairs.n_pairs
+        layout = {
+            "positions": (n, 3),
+            "rho": (n,),
+            "fp": (n,),
+            "forces": (n, 3),
+            "pair_delta": (n_pairs, 3),
+            "pair_r": (n_pairs,),
+        }
+        arena = self._resources.arena = _Arena([layout])
+        phases = self._schedule.phases
+        assignments = [
+            static_assignment(len(members), self.n_workers) for members in phases
+        ]
+        tier = self._resolved_tier()
+        self._programs = [
+            _chunk_program(
+                [members[chunks[w]] for members, chunks in zip(phases, assignments)],
+                self._pairs,
+                arena.views[0],
+                potential,
+                tier,
+                atoms.box,
+                self.record_writes,
             )
-            try:
-                # fork all workers now (setup cost) and liveness-check
-                # them; the rendezvous inside _warm_worker pins one warm
-                # task per worker process
-                futures = [
-                    executor.submit(_warm_worker, _WARM_TIMEOUT_S)
-                    for _ in range(self.n_workers)
-                ]
-                for future in futures:
-                    future.result()
-            except Exception as exc:
-                executor.shutdown(wait=False, cancel_futures=True)
-                _record_health(
-                    "pool-spawn-failed",
-                    severity="critical",
-                    n_workers=self.n_workers,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                raise BackendError(
-                    "process pool died during startup"
-                ) from exc
-            self._resources.executor = executor
-            self._pool_potential = potential
-            self._n_pool_spawns += 1
-            _record_health(
-                "pool-spawn",
-                n_workers=self.n_workers,
-                spawn_seconds=time.perf_counter() - started,
-                spawn_count=self._n_pool_spawns,
-                pids=self.worker_pids(),
-            )
+            for w in range(self.n_workers)
+        ]
+        self._epoch += 1
+        self._spawn_group()
 
     # --- phase execution -------------------------------------------------------
 
-    def _run_color_phase(
-        self, kind: str, chunks: Sequence[Sequence[int]], label: str
-    ) -> Tuple[List[Optional[List[int]]], float]:
-        """One color phase: submit chunks, barrier on the futures.
+    def _color_passes(self, kind: str) -> float:
+        """Every color phase of one pass, in schedule order; returns the
+        summed pair-energy partials (non-zero only for density)."""
+        pair_energy = 0.0
+        with self._phase(kind):
+            for color, members in enumerate(self._schedule.phases):
+                label = f"{kind}:color{color}"
+                with self._span(label, color=color, n_subdomains=len(members)):
+                    results = self._run_phase(f"{kind}:{color}", label)
+                pair_energy += sum(partial for partial, _ in results)
+                if self.record_writes:
+                    self.last_write_record.append(
+                        (kind, [writes for _, writes in results])
+                    )
+        return pair_energy
 
-        Returns the per-chunk write records (for the race detector) and
-        the sum of the chunks' pair-energy partials (non-zero only for
-        density phases).
-
-        A worker death mid-phase marks the pool broken; it is discarded
-        and :class:`BackendError` raised — the caller restarts the whole
-        evaluation (the zeroed arrays make that safe) or propagates.
-        """
-        executor = self._resources.executor
-        assert executor is not None and self._spec is not None
-        tier_name = self.kernel_tier
-        start = time.perf_counter()
-        try:
-            futures = [
-                executor.submit(
-                    _run_chunk, (self._spec, kind, chunk, tier_name)
-                )
-                for chunk in chunks
-            ]
-        except (BrokenExecutor, RuntimeError) as exc:
-            self._resources.discard_executor(wait=False)
-            self._n_worker_deaths += 1
-            _record_health(
-                "worker-death",
-                severity="warning",
-                phase=label,
-                where="submit",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            raise BackendError(
-                f"process pool broken submitting {label}"
-            ) from exc
-        futures_wait(futures)  # the implicit barrier: everything settles
-        wall = time.perf_counter() - start
-        first_task_exc: Optional[BaseException] = None
-        results = []
-        for future in futures:
-            exc = future.exception()
-            if exc is None:
-                results.append(future.result())
-            elif isinstance(exc, BrokenExecutor):
-                self._resources.discard_executor(wait=False)
-                self._n_worker_deaths += 1
-                _record_health(
-                    "worker-death",
-                    severity="warning",
-                    phase=label,
-                    where="result",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                raise BackendError(
-                    f"process pool worker died during {label}"
-                ) from exc
-            elif first_task_exc is None:
-                first_task_exc = exc
-        if first_task_exc is not None:
-            raise first_task_exc
-        if self._profiler is not None and results:
-            longest = max(elapsed for elapsed, _, _, _ in results)
-            self._profiler.add(PHASE_BARRIER, max(0.0, wall - longest))
-        if self._tracer is not None and results:
-            self._trace_chunks(label, results, start, start + wall)
-        writes = [chunk_writes for _, chunk_writes, _, _ in results]
-        energy = sum(partial for _, _, _, partial in results)
-        return writes, energy
-
-    def _scatter_phases(self, potential: EAMPotential) -> Tuple[float, float]:
-        """Density → embedding → force; returns ``(E_embed, E_pair)``.
+    def _evaluate(self, potential: EAMPotential, atoms: Atoms) -> EAMComputation:
+        """Sync → density → embedding → force on the live group.
 
         The pair energy is assembled from the density workers' partial
         sums — they already hold each pair's distance, so the parent
         never recomputes pair geometry serially.
         """
-        assert self._schedule is not None
-        schedule = self._schedule
-        rho = self._arrays["rho"]
-        fp = self._arrays["fp"]
+        views = self._resources.arena.views[0]
+        rho, fp, forces = views["rho"], views["fp"], views["forces"]
+        # sync: in-place state refresh — the whole per-step setup cost
+        with self._phase(PHASE_SYNC):
+            with self._span("sync"):
+                views["positions"][:] = atoms.positions
+                rho[:] = 0.0
+                fp[:] = 0.0
+                forces[:] = 0.0
         self.last_write_record = []
-        pair_energy = 0.0
-        # phase 1: densities, color by color
-        with self._phase("density"):
-            for color, members in enumerate(schedule.phases):
-                chunks = [
-                    members[c].tolist()
-                    for c in static_assignment(len(members), self.n_workers)
-                    if len(c)
-                ]
-                with self._span(
-                    f"density:color{color}",
-                    color=color,
-                    n_subdomains=len(members),
-                ):
-                    writes, partial = self._run_color_phase(
-                        "density", chunks, f"density:color{color}"
-                    )
-                    pair_energy += partial
-                if self.record_writes:
-                    self.last_write_record.append(("density", writes))
-        # phase 2: embedding in the parent (no dependences)
+        pair_energy = self._color_passes("density")
+        # embedding in the parent (no dependences)
         with self._phase("embedding"):
             with self._span("embedding"):
                 embedding_energy = float(np.sum(potential.embed(rho)))
                 fp[:] = potential.embed_deriv(rho)
-        # phase 3: forces, color by color
-        with self._phase("force"):
-            for color, members in enumerate(schedule.phases):
-                chunks = [
-                    members[c].tolist()
-                    for c in static_assignment(len(members), self.n_workers)
-                    if len(c)
-                ]
-                with self._span(
-                    f"force:color{color}",
-                    color=color,
-                    n_subdomains=len(members),
-                ):
-                    writes, _ = self._run_color_phase(
-                        "force", chunks, f"force:color{color}"
-                    )
-                if self.record_writes:
-                    self.last_write_record.append(("force", writes))
-        return embedding_energy, pair_energy
+        self._color_passes("force")
+        return EAMComputation(
+            pair_energy=pair_energy,
+            embedding_energy=embedding_energy,
+            rho=rho.copy(),
+            fp=fp.copy(),
+            forces=forces.copy(),
+        )
 
     # --- the ForceCalculator protocol -----------------------------------------
 
@@ -907,51 +362,12 @@ class ProcessSDCCalculator:
             raise ValueError("SDC consumes half neighbor lists")
         with self._phase(PHASE_NEIGHBOR):
             with self._span("neighbor-rebuild"):
-                rebuilt = self._prepare(atoms, nlist)
-        with self._phase(PHASE_SETUP):
-            with self._span("setup", epoch=self._epoch):
-                self._ensure_arena(atoms, rebuilt)
-                self._ensure_executor(potential)
-
-        for attempt in (0, 1):
-            # sync: in-place state refresh — the whole per-step setup cost
-            # of the persistent engine
-            with self._phase(PHASE_SYNC):
-                with self._span("sync"):
-                    self._arrays["positions"][:] = atoms.positions
-                    self._arrays["rho"][:] = 0.0
-                    self._arrays["fp"][:] = 0.0
-                    self._arrays["forces"][:] = 0.0
-            try:
-                embedding_energy, pair_energy = self._scatter_phases(potential)
-                break
-            except BackendError as exc:
-                if attempt or not self.restart_on_failure:
-                    _record_health(
-                        "engine-failed",
-                        severity="critical",
-                        error=str(exc),
-                        attempt=attempt,
-                    )
-                    raise
-                self._n_restarts += 1
-                _record_health(
-                    "pool-restart",
-                    severity="warning",
-                    restart_count=self._n_restarts,
-                    error=str(exc),
-                )
-                with self._phase(PHASE_SETUP):
-                    with self._span("setup", restart=True):
-                        self._ensure_executor(potential)
-
-        result = EAMComputation(
-            pair_energy=pair_energy,
-            embedding_energy=embedding_energy,
-            rho=self._arrays["rho"].copy(),
-            fp=self._arrays["fp"].copy(),
-            forces=self._arrays["forces"].copy(),
-        )
+                new_epoch = self._prepare(potential, atoms, nlist)
+        if new_epoch:
+            with self._phase(PHASE_SETUP):
+                with self._span("setup", epoch=self._epoch + 1):
+                    self._bind_epoch(potential, atoms)
+        result = self._with_restart(lambda: self._evaluate(potential, atoms))
         atoms.rho[:] = result.rho
         atoms.fp[:] = result.fp
         atoms.forces[:] = result.forces

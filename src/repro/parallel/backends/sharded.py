@@ -42,24 +42,12 @@ PAPERS.md):
    the new reference positions; atoms are re-homed and the migration
    count lands in the flight recorder.
 
-Execution engines:
-
-* ``engine="processes"`` — one persistent forked worker per shard, kept
-  warm between neighbor rebuilds (the epoch).  Dynamic state (positions,
-  rho, fp, forces) lives in an anonymous shared ``mmap`` arena created
-  before the fork, so parent-side exchange reductions and worker-side
-  scatters address the same pages; static state (pair CSR, schedule,
-  potential, kernel tier) is captured by the worker's program closures at
-  fork time.  This reuses the persistent-engine lifecycle of
-  :class:`~repro.parallel.backends.processes.ProcessSDCCalculator` —
-  warm-start rendezvous, epoch-stamped arena, ``BackendError`` plus one
-  transparent worker-group restart, ``weakref.finalize`` cleanup — with
-  one deliberate change: the arena is an *anonymous* shared mapping
-  inherited through fork, so there is no named ``/dev/shm`` segment that
-  could outlive a crashed run.
-* ``engine="inline"`` — the identical protocol executed in-process
-  (deterministic reference for differential tests; the fallback on
-  platforms without ``fork``).
+Execution engines: ``engine="processes"`` runs one forked worker per
+shard on the process substrate (:mod:`repro.parallel.backends.group`,
+DESIGN.md §7.1), with positions/rho/fp/forces in one arena block per
+shard, kept warm between neighbor rebuilds (the epoch);
+``engine="inline"`` runs the identical protocol in-process (the
+differential reference, and the fallback without ``fork``).
 
 Intra-shard SDC coloring keeps its ``edge > 2*reach`` constraint; a shard
 too small to decompose degrades to a single-subdomain schedule.  Shard
@@ -74,11 +62,9 @@ are emitted at epoch changes.
 
 from __future__ import annotations
 
-import mmap
 import multiprocessing as mp
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,20 +75,19 @@ from repro.core.domain import (
     SubdomainGrid,
     decompose_balanced,
 )
-from repro.core.partition import (
-    PairPartition,
-    Partition,
-    build_partition,
-)
+from repro.core.partition import PairPartition, build_partition, group_pairs
 from repro.core.schedule import ColorSchedule, build_schedule
 from repro.geometry.box import Box
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList, build_neighbor_list
-from repro.parallel.backends.base import BackendError
-from repro.parallel.backends.fork import (
+from repro.parallel.backends.group import (
     DEFAULT_PHASE_TIMEOUT_S,
-    ForkPhaseBackend,
-    portable_exception,
+    GroupEngine,
+    Program,
+    _Arena,
+    _InlineGroup,
+    count_health,
+    record_health,
 )
 from repro.parallel.cluster import node_grid
 from repro.potentials.base import EAMPotential
@@ -114,12 +99,10 @@ from repro.potentials.eam import (
     scatter_force_half,
     scatter_rho_half,
 )
-from repro.utils.profiler import NULL_PHASE, PhaseProfiler
 
 __all__ = [
     "HaloSpec",
     "ShardGrid",
-    "ShardedBackend",
     "ShardedSDCCalculator",
     "build_halo",
     "make_shard_grid",
@@ -128,26 +111,6 @@ __all__ = [
 #: per-ghost exchange traffic per force evaluation, in bytes: position
 #: push (24) + rho reduction (8) + fp refresh (8) + force reduction (24)
 GHOST_BYTES_PER_STEP = 64
-
-
-def _record_health(event: str, severity: str = "info", **fields) -> None:
-    """Flight-recorder event under the ``sharded`` category (never raises)."""
-    try:
-        from repro.obs.recorder import record
-
-        record("sharded", event, severity=severity, **fields)
-    except Exception:  # pragma: no cover - telemetry stays optional
-        pass
-
-
-def _count_health(name: str) -> None:
-    """Bump a named health counter (never raises)."""
-    try:
-        from repro.obs.recorder import count
-
-        count(name)
-    except Exception:  # pragma: no cover - telemetry stays optional
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -333,32 +296,6 @@ class _ShardPlan:
         return self.n_ghosts / self.n_local if self.n_local else 0.0
 
 
-def _local_pair_partition(
-    i_idx: np.ndarray,
-    j_idx: np.ndarray,
-    partition: Partition,
-) -> PairPartition:
-    """Group an explicit local pair list by owning subdomain.
-
-    :func:`~repro.core.partition.build_pair_partition` consumes a
-    :class:`NeighborList`; the shard path owns a *filtered* pair list
-    (cross-shard duplicates removed), so the CSR grouping is rebuilt here
-    with the same owner-of-row-atom rule.
-    """
-    pair_sub = partition.subdomain_of_atom[i_idx]
-    pair_perm = np.argsort(pair_sub, kind="stable")
-    counts = np.bincount(pair_sub, minlength=partition.grid.n_subdomains)
-    offsets = np.zeros(partition.grid.n_subdomains + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return PairPartition(
-        partition=partition,
-        i_idx=np.ascontiguousarray(i_idx[pair_perm]),
-        j_idx=np.ascontiguousarray(j_idx[pair_perm]),
-        offsets=offsets,
-        pair_perm=pair_perm,
-    )
-
-
 def _build_shard_plan(
     shard: int,
     grid: ShardGrid,
@@ -419,7 +356,7 @@ def _build_shard_plan(
         sub_grid = SubdomainGrid(box=ext_box, counts=(1, 1, 1), reach=reach)
     coloring = lattice_coloring(sub_grid)
     partition = build_partition(build_pos, sub_grid)
-    pairs = _local_pair_partition(i_idx, j_idx, partition)
+    pairs = group_pairs(partition, i_idx, j_idx)
     schedule = build_schedule(coloring)
     return _ShardPlan(
         shard=shard,
@@ -435,254 +372,15 @@ def _build_shard_plan(
 
 
 # ---------------------------------------------------------------------------
-# shared-memory arena (anonymous mapping, fork-inherited)
+# shard programs
 # ---------------------------------------------------------------------------
-
-_ALIGN = 64
-
-_FIELDS = ("positions", "rho", "fp", "forces")
-
-
-def _field_shape(field: str, n_local: int) -> Tuple[int, ...]:
-    return (n_local, 3) if field in ("positions", "forces") else (n_local,)
-
-
-class _Arena:
-    """One anonymous shared mapping per epoch, viewed as NumPy arrays.
-
-    Forked shard workers inherit the mapping, so parent-side exchange
-    reductions and worker-side scatters address the same pages without a
-    named ``/dev/shm`` segment to unlink — the mapping cannot outlive its
-    processes, by construction.
-    """
-
-    def __init__(self, sizes: Sequence[int]) -> None:
-        offsets: List[Dict[str, int]] = []
-        total = 0
-        for n_local in sizes:
-            per_shard: Dict[str, int] = {}
-            for field in _FIELDS:
-                per_shard[field] = total
-                n_items = int(np.prod(_field_shape(field, n_local)))
-                total += ((n_items * 8 + _ALIGN - 1) // _ALIGN) * _ALIGN
-            offsets.append(per_shard)
-        self.nbytes = max(total, mmap.PAGESIZE)
-        self._mm = mmap.mmap(-1, self.nbytes)
-        self.views: List[Dict[str, np.ndarray]] = []
-        for n_local, per_shard in zip(sizes, offsets):
-            shard_views: Dict[str, np.ndarray] = {}
-            for field in _FIELDS:
-                shape = _field_shape(field, n_local)
-                shard_views[field] = np.frombuffer(
-                    self._mm,
-                    dtype=np.float64,
-                    count=int(np.prod(shape)),
-                    offset=per_shard[field],
-                ).reshape(shape)
-            self.views.append(shard_views)
-
-    def close(self) -> None:
-        """Drop the views and unmap (idempotent, best effort)."""
-        self.views = []
-        try:
-            self._mm.close()
-        except BufferError:  # pragma: no cover - an exported view survives
-            pass  # the mapping dies with the process regardless
-
-
-# ---------------------------------------------------------------------------
-# worker groups
-# ---------------------------------------------------------------------------
-
-ShardProgram = Dict[str, Callable[[], object]]
-
-
-def _shard_worker_main(conn, program: ShardProgram) -> None:
-    """Persistent shard worker: execute phase tokens until ``exit``.
-
-    The program's closures were captured before the fork, so they address
-    the arena pages directly; only the phase token and a tiny status
-    tuple cross the pipe.
-    """
-    try:
-        conn.send(("ready", os.getpid()))
-        while True:
-            try:
-                command = conn.recv()
-            except (EOFError, OSError):
-                break
-            if command == "exit":
-                break
-            task = program.get(command)
-            if task is None:
-                conn.send(("err", RuntimeError(f"unknown phase {command!r}")))
-                continue
-            try:
-                result = task()
-            except BaseException as exc:  # noqa: BLE001 - status channel
-                conn.send(("err", portable_exception(exc)))
-            else:
-                conn.send(("ok", result))
-    finally:
-        conn.close()
-
-
-class _ProcessGroup:
-    """One persistent forked worker per shard, fed phase tokens over pipes.
-
-    The warm-start rendezvous (each worker acknowledges ``ready`` before
-    the group is considered live) mirrors the persistent process engine's
-    pool warm-up, so the first force evaluation never races worker
-    startup.
-    """
-
-    def __init__(
-        self, programs: Sequence[ShardProgram], timeout_s: float
-    ) -> None:
-        self.timeout_s = timeout_s
-        ctx = mp.get_context("fork")
-        self._procs = []
-        self._conns = []
-        self.broken = False
-        for program in programs:
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            process = ctx.Process(
-                target=_shard_worker_main,
-                args=(child_conn, program),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._procs.append(process)
-            self._conns.append(parent_conn)
-        for shard, conn in enumerate(self._conns):
-            if not conn.poll(self.timeout_s):
-                self.stop()
-                raise BackendError(
-                    f"shard worker {shard} never reached the warm-start "
-                    f"rendezvous"
-                )
-            try:
-                status, _pid = conn.recv()
-            except (EOFError, OSError) as exc:
-                self.stop()
-                raise BackendError(
-                    f"shard worker {shard} died during startup"
-                ) from exc
-            if status != "ready":  # pragma: no cover - protocol guard
-                self.stop()
-                raise BackendError(
-                    f"shard worker {shard} sent {status!r} instead of ready"
-                )
-
-    @property
-    def pids(self) -> List[int]:
-        return [p.pid for p in self._procs if p.is_alive() and p.pid]
-
-    def run_phase(self, kind: str) -> List[object]:
-        """Dispatch one phase token to every worker; barrier on all.
-
-        Worker death raises :class:`BackendError` (and marks the group
-        broken); a task exception is re-raised after every worker
-        answered, so the phase barrier held either way.
-        """
-        if self.broken:
-            raise BackendError("shard worker group is broken")
-        for shard, conn in enumerate(self._conns):
-            try:
-                conn.send(kind)
-            except (BrokenPipeError, OSError) as exc:
-                self.broken = True
-                raise BackendError(
-                    f"shard worker {shard} is gone (send failed)"
-                ) from exc
-        results: List[object] = []
-        first_error: Optional[BaseException] = None
-        dead: List[int] = []
-        for shard, conn in enumerate(self._conns):
-            payload = None
-            try:
-                if conn.poll(self.timeout_s):
-                    payload = conn.recv()
-            except (EOFError, OSError):
-                payload = None
-            if payload is None:
-                dead.append(shard)
-                continue
-            status, value = payload
-            if status == "ok":
-                results.append(value)
-            else:
-                results.append(None)
-                if first_error is None:
-                    first_error = value
-        if dead:
-            self.broken = True
-            raise BackendError(
-                f"shard worker(s) {dead} died during phase {kind!r}"
-            )
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def stop(self) -> None:
-        """Tear the group down (idempotent)."""
-        for conn in self._conns:
-            try:
-                conn.send("exit")
-            except Exception:
-                pass
-        for process in self._procs:
-            process.join(5.0)
-            if process.is_alive():  # pragma: no cover - watchdog path
-                process.terminate()
-                process.join(5.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except Exception:
-                pass
-        self._procs = []
-        self._conns = []
-        self.broken = True
-
-
-class _InlineGroup:
-    """The same phase protocol executed in the calling process."""
-
-    broken = False
-
-    def __init__(self, programs: Sequence[ShardProgram]) -> None:
-        self._programs = list(programs)
-
-    @property
-    def pids(self) -> List[int]:
-        return []
-
-    def run_phase(self, kind: str) -> List[object]:
-        results: List[object] = []
-        first_error: Optional[BaseException] = None
-        for program in self._programs:
-            try:
-                results.append(program[kind]())
-            except BaseException as exc:  # noqa: BLE001 - barrier semantics
-                results.append(None)
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def stop(self) -> None:
-        self._programs = []
-
 
 def _make_shard_program(
     plan: _ShardPlan,
     views: Dict[str, np.ndarray],
     potential: EAMPotential,
     tier,
-) -> ShardProgram:
+) -> Program:
     """Phase closures of one shard, bound to its arena views.
 
     Each scatter phase walks the intra-shard color schedule subdomain by
@@ -747,55 +445,10 @@ def _make_shard_program(
 
 
 # ---------------------------------------------------------------------------
-# generic phase backend face
-# ---------------------------------------------------------------------------
-
-class ShardedBackend(ForkPhaseBackend):
-    """Phase-execution face of the sharded substrate.
-
-    An :class:`~repro.parallel.backends.base.ExecutionBackend` whose
-    phase closures run in forked per-shard worker groups: task ``k``
-    executes in the group of shard ``k % n_shards``.  This is the surface
-    the backend conformance suite exercises; the force engine
-    (:class:`ShardedSDCCalculator`) drives the same child protocol
-    through persistent per-shard workers instead of per-phase forks.
-    """
-
-    def __init__(
-        self,
-        n_shards: int = 2,
-        timeout_s: float = DEFAULT_PHASE_TIMEOUT_S,
-    ) -> None:
-        super().__init__(n_workers=n_shards, timeout_s=timeout_s)
-        self.n_shards = n_shards
-
-    def health_snapshot(self) -> dict:
-        snapshot = super().health_snapshot()
-        snapshot["n_shards"] = self.n_shards
-        return snapshot
-
-
-# ---------------------------------------------------------------------------
 # the force engine
 # ---------------------------------------------------------------------------
 
-class _EngineResources:
-    """Holder for fork-side state so ``weakref.finalize`` can release it."""
-
-    def __init__(self) -> None:
-        self.group = None
-        self.arena: Optional[_Arena] = None
-
-    def release(self) -> None:
-        if self.group is not None:
-            self.group.stop()
-            self.group = None
-        if self.arena is not None:
-            self.arena.close()
-            self.arena = None
-
-
-class ShardedSDCCalculator:
+class ShardedSDCCalculator(GroupEngine):
     """Multi-shard EAM force engine with explicit halo exchange.
 
     Satisfies the :class:`~repro.md.simulation.ForceCalculator` protocol.
@@ -826,6 +479,8 @@ class ShardedSDCCalculator:
     """
 
     name = "sdc-sharded"
+    health_category = "sharded"
+    restart_event = "group-restart"
 
     def __init__(
         self,
@@ -843,45 +498,32 @@ class ShardedSDCCalculator:
         if engine not in ("processes", "inline"):
             raise ValueError(f"unknown engine {engine!r}")
         if engine == "processes" and "fork" not in mp.get_all_start_methods():
-            _record_health(
+            record_health(
+                "sharded",
                 "engine-fallback",
-                severity="warning",
+                "warning",
                 wanted="processes",
                 used="inline",
                 reason="no fork support",
             )
             engine = "inline"
+        super().__init__(kernel_tier, restart_on_failure, timeout_s)
         self.n_shards = n_shards
         self.dims = dims
         self.engine = engine
-        self.timeout_s = timeout_s
-        self.restart_on_failure = restart_on_failure
-        self._tier = (
-            kernels.get(kernel_tier) if kernel_tier is not None else None
-        )
-        self._profiler: Optional[PhaseProfiler] = None
-        self._tracer = None
         # epoch state
         self._cached_key: Optional[tuple] = None
         self._shard_grid: Optional[ShardGrid] = None
         self._plans: List[_ShardPlan] = []
-        self._programs: List[ShardProgram] = []
-        self._epoch = 0
         # ownership cache + migration accounting (keyed on nlist identity)
         self._ownership_key: Optional[int] = None
         self._ownership: Optional[Tuple[ShardGrid, np.ndarray]] = None
         self._prev_assignment: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # lifecycle counters surfaced by health_snapshot()
         self._n_epochs = 0
-        self._n_restarts = 0
-        self._n_worker_deaths = 0
         self._n_migrated_total = 0
         self._halo_bytes_total = 0
         self._n_computes = 0
-        self._resources = _EngineResources()
-        import weakref
-
-        self._finalizer = weakref.finalize(self, self._resources.release)
 
     # --- lifecycle -------------------------------------------------------------
 
@@ -892,7 +534,7 @@ class ShardedSDCCalculator:
         epoch from scratch.
         """
         if self._resources.group is not None:
-            _record_health(
+            self._health(
                 "engine-close",
                 n_shards=self.n_shards,
                 epoch=self._epoch,
@@ -904,56 +546,10 @@ class ShardedSDCCalculator:
         self._ownership_key = None
         self._ownership = None
 
-    def __enter__(self) -> "ShardedSDCCalculator":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # --- kernel tier -----------------------------------------------------------
-
-    @property
-    def kernel_tier(self) -> str:
-        """Resolved tier name the shard programs run on."""
-        tier = self._tier if self._tier is not None else kernels.active_tier()
-        return tier.name
-
-    def set_kernel_tier(self, tier) -> None:
-        """Pin the shard programs' kernel tier (None reverts to the
-        active tier, re-resolved at the next decomposition epoch)."""
-        self._tier = kernels.get(tier) if tier is not None else None
-        self._cached_key = None  # force a respawn with the new tier
-
-    # --- observability ---------------------------------------------------------
-
-    def attach_profiler(self, profiler: PhaseProfiler) -> None:
-        """Record per-phase wall-clock into ``profiler``."""
-        self._profiler = profiler
-
-    def detach_profiler(self) -> None:
-        self._profiler = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Record parent-side phase/exchange spans into ``tracer``."""
-        self._tracer = tracer
-
-    def detach_tracer(self) -> None:
-        self._tracer = None
-
-    def _phase(self, name: str):
-        if self._profiler is None:
-            return NULL_PHASE
-        return self._profiler.phase(name)
-
-    def _span(self, name: str, **args):
-        if self._tracer is None:
-            return NULL_PHASE
-        return self._tracer.span(name, **args)
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of the live shard workers (empty for the inline engine)."""
-        group = self._resources.group
-        return list(group.pids) if group is not None else []
+    def _make_group(self, programs: Sequence[Program]):
+        if self.engine == "inline":
+            return _InlineGroup(programs)
+        return super()._make_group(programs)
 
     def shard_schedule_items(
         self,
@@ -1035,23 +631,20 @@ class ShardedSDCCalculator:
                     )
                 )
             self._n_migrated_total += n_migrated
-            _record_health(
+            self._health(
                 "migration",
                 epoch=self._epoch,
                 n_migrated=n_migrated,
                 n_atoms=len(ids),
                 n_shards=self.n_shards,
             )
-            _count_health("sharded_migration_events")
+            count_health("sharded_migration_events")
         self._prev_assignment = (ids.copy(), shard_of.copy())
         self._ownership_key = id(nlist)
         self._ownership = (grid, shard_of)
         return self._ownership
 
     # --- epoch build -------------------------------------------------------------
-
-    def _resolved_tier(self):
-        return self._tier if self._tier is not None else kernels.active_tier()
 
     def _prepare(
         self, potential: EAMPotential, atoms: Atoms, nlist: NeighborList
@@ -1060,10 +653,11 @@ class ShardedSDCCalculator:
         neighbor list (or the tier/potential binding) changed."""
         tier = self._resolved_tier()
         key = (id(nlist), id(potential), tier.name)
-        if self._cached_key == key and self._resources.group is not None:
-            _count_health("sharded_epoch_cache_hit")
+        group = self._resources.group
+        if self._cached_key == key and group is not None and not group.broken:
+            count_health("sharded_epoch_cache_hit")
             return
-        _count_health("sharded_epoch_cache_miss")
+        count_health("sharded_epoch_cache_miss")
         self._resources.release()
         grid, shard_of = self._assign_ownership(atoms, nlist)
         halos = build_halo(
@@ -1082,21 +676,31 @@ class ShardedSDCCalculator:
             )
             for shard in range(grid.n_shards)
         ]
-        arena = _Arena([plan.n_local for plan in plans])
+        arena = _Arena(
+            [
+                {
+                    "positions": (plan.n_local, 3),
+                    "rho": (plan.n_local,),
+                    "fp": (plan.n_local,),
+                    "forces": (plan.n_local, 3),
+                }
+                for plan in plans
+            ]
+        )
         programs = [
             _make_shard_program(plan, views, potential, tier)
             for plan, views in zip(plans, arena.views)
         ]
         self._resources.arena = arena
-        self._spawn_group(programs)
-        self._shard_grid = grid
-        self._plans = plans
         self._programs = programs
         self._epoch += 1
+        self._spawn_group()
+        self._shard_grid = grid
+        self._plans = plans
         self._n_epochs += 1
         self._cached_key = key
         n_ghosts = int(sum(plan.n_ghosts for plan in plans))
-        _record_health(
+        self._health(
             "shard-epoch",
             epoch=self._epoch,
             engine=self.engine,
@@ -1110,32 +714,13 @@ class ShardedSDCCalculator:
             ),
             kernel_tier=tier.name,
         )
-        _record_health(
+        self._health(
             "halo-refresh",
             epoch=self._epoch,
             n_ghosts=n_ghosts,
             bytes_per_step=GHOST_BYTES_PER_STEP * n_ghosts,
             n_shards=grid.n_shards,
         )
-
-    def _spawn_group(self, programs: List[ShardProgram]) -> None:
-        if self.engine == "processes":
-            self._resources.group = _ProcessGroup(programs, self.timeout_s)
-        else:
-            self._resources.group = _InlineGroup(programs)
-
-    def _respawn_group(self) -> None:
-        """Replace a broken worker group (the transparent restart)."""
-        self._n_restarts += 1
-        _record_health(
-            "group-restart",
-            severity="warning",
-            epoch=self._epoch,
-            n_restarts=self._n_restarts,
-        )
-        if self._resources.group is not None:
-            self._resources.group.stop()
-        self._spawn_group(self._programs)
 
     # --- the force evaluation -----------------------------------------------------
 
@@ -1153,24 +738,12 @@ class ShardedSDCCalculator:
         with self._phase("neighbor-rebuild"):
             with self._span("neighbor-rebuild"):
                 self._prepare(potential, atoms, nlist)
-        attempts = 2 if self.restart_on_failure else 1
-        for attempt in range(attempts):
-            try:
-                return self._compute_once(atoms, nlist)
-            except BackendError:
-                self._n_worker_deaths += 1
-                _count_health("sharded_backend_errors")
-                if attempt + 1 >= attempts:
-                    raise
-                self._respawn_group()
-        raise AssertionError("unreachable")  # pragma: no cover
+        return self._with_restart(lambda: self._compute_once(atoms, nlist))
 
     def _compute_once(
         self, atoms: Atoms, nlist: NeighborList
     ) -> EAMComputation:
-        group = self._resources.group
         arena = self._resources.arena
-        assert group is not None and arena is not None
         box = atoms.box
         n = atoms.n_atoms
         reference = nlist.reference_positions
@@ -1191,7 +764,7 @@ class ShardedSDCCalculator:
 
         with self._phase("density"):
             with self._span("density", n_shards=len(self._plans)):
-                pair_parts = group.run_phase("density")
+                pair_parts = self._run_phase("density")
         pair_energy = float(sum(p or 0.0 for p in pair_parts))
 
         rho = np.zeros(n)
@@ -1207,7 +780,7 @@ class ShardedSDCCalculator:
 
         with self._phase("embedding"):
             with self._span("embedding"):
-                emb_parts = group.run_phase("embedding")
+                emb_parts = self._run_phase("embedding")
         embedding_energy = float(sum(e or 0.0 for e in emb_parts))
 
         fp = np.empty(n)
@@ -1219,7 +792,7 @@ class ShardedSDCCalculator:
 
         with self._phase("force"):
             with self._span("force", n_shards=len(self._plans)):
-                group.run_phase("force")
+                self._run_phase("force")
 
         forces = np.zeros((n, 3))
         with self._span("halo-exchange:force", n_ghosts=n_ghosts):
@@ -1234,7 +807,7 @@ class ShardedSDCCalculator:
 
         self._n_computes += 1
         self._halo_bytes_total += GHOST_BYTES_PER_STEP * n_ghosts
-        _count_health("sharded_halo_refresh")
+        count_health("sharded_halo_refresh")
         atoms.rho[:] = rho
         atoms.fp[:] = fp
         atoms.forces[:] = forces

@@ -1,18 +1,14 @@
-"""Tier variants: spec parsing, env-flag migration, concurrency, fusion.
+"""Tier variants: spec parsing, concurrency, fusion.
 
-The regression targets here are the three bugs the variant work fixes:
+The regression targets here are the two bugs the variant work fixes:
 
-* ``REPRO_KERNEL_PARALLEL``/``REPRO_KERNEL_FASTMATH`` used to be
-  snapshotted at module import — toggling them afterwards silently did
-  nothing.  They are now read at spec-resolution time with a deprecation
-  warning pointing at the variant spec.
 * ``use_tier()`` swaps one process-wide slot, so concurrent drivers used
   to clobber each other's tier mid-evaluation.  Pinned tiers
   (``strategy.set_kernel_tier`` / ``EAMCalculator(kernel_tier=...)``)
   now travel through the dispatch path explicitly.
 * forked process workers used to inherit the parent's import-time
-  parallel/fastmath state; the resolved variant name now ships in every
-  task payload.
+  parallel/fastmath state; each worker is now bound to the resolved
+  variant before it is forked.
 """
 
 from __future__ import annotations
@@ -39,9 +35,7 @@ class TestSpecParsing:
             ("auto-parallel", "auto", True, False),
         ],
     )
-    def test_parse(self, spec, base, parallel, fastmath, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_PARALLEL, raising=False)
-        monkeypatch.delenv(kernels.ENV_FASTMATH, raising=False)
+    def test_parse(self, spec, base, parallel, fastmath):
         config = parse_tier_spec(spec)
         assert config.base == base
         assert config.parallel is parallel
@@ -51,9 +45,7 @@ class TestSpecParsing:
         config = parse_tier_spec("numba-fastmath-parallel")
         assert config.name == "numba-parallel-fastmath"
 
-    def test_name_round_trips(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_PARALLEL, raising=False)
-        monkeypatch.delenv(kernels.ENV_FASTMATH, raising=False)
+    def test_name_round_trips(self):
         for spec in kernels.TIER_NAMES:
             assert parse_tier_spec(spec).name == spec
 
@@ -114,62 +106,6 @@ class TestRegistryVariants:
     def test_env_tier_var_accepts_variant_spec(self, stub_numba, monkeypatch):
         monkeypatch.setenv(kernels.ENV_VAR, "numba-parallel")
         assert kernels.get(None).name == "numba-parallel"
-
-
-class TestEnvFlagMigration:
-    """The import-time-snapshot bug: flags toggled after import must work."""
-
-    def test_env_parallel_after_import_takes_effect_and_warns(
-        self, stub_numba, monkeypatch
-    ):
-        # repro.kernels was imported long ago; setting the env var now
-        # must still influence a bare-spec resolution (the old code
-        # snapshotted it at import and silently ignored this)
-        monkeypatch.setenv(kernels.ENV_PARALLEL, "1")
-        monkeypatch.delenv(kernels.ENV_FASTMATH, raising=False)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            tier = kernels.get("numba")
-        assert tier.config.parallel is True
-        assert tier.name == "numba-parallel"
-        deprecations = [
-            w
-            for w in record
-            if issubclass(w.category, KernelTierWarning)
-            and "deprecated" in str(w.message)
-        ]
-        assert len(deprecations) == 1
-        assert "numba-parallel" in str(deprecations[0].message)
-
-    def test_env_fastmath_after_import_takes_effect_and_warns(
-        self, stub_numba, monkeypatch
-    ):
-        monkeypatch.delenv(kernels.ENV_PARALLEL, raising=False)
-        monkeypatch.setenv(kernels.ENV_FASTMATH, "true")
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            config = parse_tier_spec("numba")
-        assert config.fastmath is True
-        assert any("numba-fastmath" in str(w.message) for w in record)
-
-    def test_explicit_variant_spec_wins_over_env(self, stub_numba, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_PARALLEL, "1")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            config = parse_tier_spec("numba-fastmath")
-        assert config.parallel is False
-        assert config.fastmath is True
-
-    def test_deprecation_warns_once_per_process(self, stub_numba, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_PARALLEL, "1")
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            parse_tier_spec("numba")
-            parse_tier_spec("numba")
-        deprecations = [
-            w for w in record if "deprecated" in str(w.message)
-        ]
-        assert len(deprecations) == 1
 
 
 class TestConcurrentDrivers:

@@ -1,60 +1,36 @@
 """Backend conformance suite: the shared ExecutionBackend contract.
 
-One parametrized suite, four substrates — serial, threads, per-phase
-forked groups, and the sharded engine's phase face.  Every future backend
-earns the same coverage by adding one row to ``BACKEND_FACTORIES``:
+One parametrized suite over the in-process backends — serial and
+threads.  Every future backend earns the same coverage by adding one row
+to ``BACKEND_FACTORIES``:
 
 * ``run_phase`` barrier semantics (every closure settled at return),
-* task-exception propagation vs :class:`BackendError` for worker death,
+* task-exception propagation (the task's own exception, after the barrier),
 * observer hook ordering (``on_phase_begin`` strictly before the first
   ``on_task_begin``; ``on_phase_end`` after the last ``on_task_end``),
 * ``close()`` idempotence and rejection of phases after close,
 * no ``/dev/shm`` residue.
 
-Process-backed backends execute closures in forked children, so the
-suite's counters live in an anonymous shared ``mmap`` — writes through
-plain process-private arrays would be invisible to the parent.
+The forked worker group the process engines run on has its own contract
+suite (``tests/parallel/test_worker_group.py``).
 """
 
 from __future__ import annotations
 
-import mmap
-import multiprocessing as mp
 import os
 
 import numpy as np
 import pytest
 
-from repro.parallel.backends import (
-    BackendError,
-    ForkPhaseBackend,
-    SerialBackend,
-    ShardedBackend,
-    ThreadBackend,
-)
-
-HAS_FORK = "fork" in mp.get_all_start_methods()
-
-needs_fork = pytest.mark.skipif(HAS_FORK is False, reason="requires fork")
+from repro.parallel.backends import SerialBackend, ThreadBackend
 
 BACKEND_FACTORIES = {
     "serial": lambda: SerialBackend(),
     "threads": lambda: ThreadBackend(2),
-    "processes": lambda: ForkPhaseBackend(n_workers=2, timeout_s=60.0),
-    "sharded": lambda: ShardedBackend(n_shards=2, timeout_s=60.0),
 }
 
-#: backends whose closures run in forked children (side effects need
-#: shared memory; workers can actually die)
-FORKED = ("processes", "sharded")
 
-ALL_BACKENDS = [
-    pytest.param(key, marks=needs_fork) if key in FORKED else key
-    for key in BACKEND_FACTORIES
-]
-
-
-@pytest.fixture(params=ALL_BACKENDS)
+@pytest.fixture(params=list(BACKEND_FACTORIES))
 def backend(request):
     instance = BACKEND_FACTORIES[request.param]()
     yield instance
@@ -62,14 +38,8 @@ def backend(request):
 
 
 def shared_slots(n: int):
-    """A float64 array in an anonymous shared mapping (fork-visible).
-
-    The array holds the mapping alive; the anonymous mapping is reclaimed
-    with the process, so no explicit close is needed (closing while a
-    NumPy view exists would raise ``BufferError`` anyway).
-    """
-    mm = mmap.mmap(-1, max(n * 8, mmap.PAGESIZE))
-    return np.frombuffer(mm, dtype=np.float64, count=n)
+    """A float64 array the phase's closures write into."""
+    return np.zeros(n)
 
 
 class RecordingObserver:
@@ -202,20 +172,3 @@ class TestBackendContract:
         assert "phases_run" in snapshot
         assert "observed" in snapshot
 
-
-@pytest.mark.parametrize("key", [pytest.param(k, marks=needs_fork) for k in FORKED])
-class TestForkedBackendDeath:
-    """Worker death is a substrate failure: BackendError, not the task's
-    exception — and the backend is immediately usable again."""
-
-    def test_worker_death_raises_backend_error(self, key):
-        backend = BACKEND_FACTORIES[key]()
-        try:
-            with pytest.raises(BackendError):
-                backend.run_phase([lambda: os._exit(7)])
-            # the barrier held and the backend recovered
-            slots = shared_slots(1)
-            backend.run_phase([lambda: slots.__setitem__(0, 5.0)])
-            assert slots[0] == 5.0
-        finally:
-            backend.close()

@@ -1,36 +1,18 @@
-"""Process-parallel SDC (fork + shared memory): the persistent engine."""
+"""Process-parallel SDC: color-chunk programs on the forked worker group."""
 
-import gc
 import multiprocessing as mp
-import os
 
 import numpy as np
 import pytest
 
 from repro.md.simulation import Simulation
 from repro.parallel.backends.processes import ProcessSDCCalculator
-from repro.potentials import compute_eam_forces_serial, fe_potential
+from repro.potentials import compute_eam_forces_serial
 
 fork_available = "fork" in mp.get_all_start_methods()
 pytestmark = pytest.mark.skipif(
     not fork_available, reason="requires fork start method"
 )
-
-
-class _ExplodingDensity:
-    """Duck-typed potential whose density phase raises inside the worker."""
-
-    def __init__(self) -> None:
-        self._inner = fe_potential()
-        self.cutoff = self._inner.cutoff
-        self.density_deriv = self._inner.density_deriv
-        self.pair_energy = self._inner.pair_energy
-        self.pair_energy_deriv = self._inner.pair_energy_deriv
-        self.embed = self._inner.embed
-        self.embed_deriv = self._inner.embed_deriv
-
-    def density(self, r):
-        raise RuntimeError("density exploded")
 
 
 class TestCorrectness:
@@ -114,21 +96,6 @@ class TestPersistence:
                 calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
             assert calc.worker_pids() == pids
 
-    def test_arena_segments_reused_across_computes(
-        self, potential, sdc_atoms, sdc_nlist
-    ):
-        with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
-            calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-            names = {
-                k: s.name for k, s in calc._resources.segments.items()
-            }
-            epoch = calc._epoch
-            calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-            assert {
-                k: s.name for k, s in calc._resources.segments.items()
-            } == names
-            assert calc._epoch == epoch
-
     def test_interleaved_calculators_do_not_clobber(self, potential):
         """Regression for the old `_FORK_STATE` module global: two live
         calculators on *different* systems, computes interleaved — each
@@ -194,7 +161,7 @@ class TestPersistence:
             sim.run(2)
             assert len(calc.worker_pids()) == 2
         assert calc.worker_pids() == []
-        assert not calc._resources.segments
+        assert calc.arena_bytes() == 0
 
 
 class TestDecompositionCache:
@@ -255,61 +222,3 @@ class TestDecompositionCache:
                 calc.pair_partition, calc.schedule
             ).ok
 
-
-def _shm_entries():
-    return set(os.listdir("/dev/shm"))
-
-
-def _leaked(before):
-    """Shared-memory entries created and not cleaned since ``before``."""
-    return {
-        name
-        for name in _shm_entries() - before
-        if name.startswith("psm_")
-    }
-
-
-@pytest.mark.linux
-class TestSharedMemoryHygiene:
-    def test_no_leak_after_close(self, potential, sdc_atoms, sdc_nlist):
-        before = _shm_entries()
-        with ProcessSDCCalculator(dims=2, n_workers=2) as calc:
-            calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-            assert calc._resources.segments  # the arena did exist
-        assert _leaked(before) == set()
-
-    def test_no_leak_after_exception_in_compute(
-        self, potential, sdc_atoms, sdc_nlist
-    ):
-        before = _shm_entries()
-        calc = ProcessSDCCalculator(dims=2, n_workers=2)
-        try:
-            with pytest.raises(RuntimeError, match="exploded"):
-                calc.compute(
-                    _ExplodingDensity(), sdc_atoms.copy(), sdc_nlist
-                )
-            # the engine survives the task failure...
-            result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-            assert np.isfinite(result.potential_energy)
-        finally:
-            calc.close()
-        # ...and nothing is left behind once released
-        assert _leaked(before) == set()
-
-    def test_no_leak_after_gc_without_close(
-        self, potential, sdc_atoms, sdc_nlist
-    ):
-        import time
-
-        before = _shm_entries()
-        calc = ProcessSDCCalculator(dims=2, n_workers=2)
-        calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        del calc  # no close(): the weakref finalizer must fire
-        # transient references (executor manager threads winding down,
-        # frames in flight) can delay collection by a beat — retry the
-        # collect briefly rather than flake on GC scheduling
-        deadline = time.monotonic() + 10.0
-        while _leaked(before) and time.monotonic() < deadline:
-            gc.collect()
-            time.sleep(0.05)
-        assert _leaked(before) == set()

@@ -74,25 +74,6 @@ class TestCrashingKernels:
         with pytest.raises(Exception, match="exploded"):
             calc.compute(ExplodingPotential(fuse=0), sdc_atoms.copy(), sdc_nlist)
 
-    def test_process_backend_cleans_shared_memory(self, sdc_atoms, sdc_nlist, potential):
-        """Shared segments are unlinked even when workers crash."""
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():
-            pytest.skip("requires fork")
-        from multiprocessing import resource_tracker
-
-        from repro.parallel.backends.processes import ProcessSDCCalculator
-
-        calc = ProcessSDCCalculator(dims=2, n_workers=2)
-        try:
-            calc.compute(ExplodingPotential(fuse=0), sdc_atoms.copy(), sdc_nlist)
-        except Exception:
-            pass
-        # a fresh compute must work (no stale segments / state)
-        result = calc.compute(potential, sdc_atoms.copy(), sdc_nlist)
-        assert np.isfinite(result.potential_energy)
-
 
 class KamikazePotential:
     """Duck-typed potential whose density phase SIGKILLs its own worker."""
