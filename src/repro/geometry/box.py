@@ -9,7 +9,7 @@ builds on: coordinate wrapping and minimum-image displacement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -67,34 +67,65 @@ class Box:
         """
         positions = np.asarray(positions, dtype=np.float64)
         wrapped = positions.copy()
-        for axis in range(3):
-            if self.periodic[axis]:
-                length = self.lengths[axis]
-                component = wrapped[..., axis] % length
-                # float modulo of a tiny negative value rounds to exactly
-                # `length`; fold that onto 0 so wrap stays idempotent and
-                # wrapped points satisfy 0 <= x < length
-                wrapped[..., axis] = np.where(component >= length, 0.0, component)
+        # an MD step moves few atoms out of the cell, so only those pay
+        # for the (slow) float modulo; the rest are already x % L == x.
+        # signbit also catches -0.0, which x % L maps to +0.0
+        stray = np.signbit(wrapped)
+        stray |= wrapped >= self.lengths
+        stray &= self.periodic
+        if stray.any():
+            lengths = np.broadcast_to(self.lengths, wrapped.shape)[stray]
+            folded = np.remainder(wrapped[stray], lengths)
+            # float modulo of a tiny negative value rounds to exactly
+            # `length`; fold that onto 0 so wrap stays idempotent and
+            # wrapped points satisfy 0 <= x < length
+            folded[folded >= lengths] = 0.0
+            wrapped[stray] = folded
         return wrapped
 
     def minimum_image(self, displacement: np.ndarray) -> np.ndarray:
         """Apply the minimum-image convention to displacement vectors.
 
         For each periodic axis, folds components into ``[-L/2, L/2)``.
-        Works on any ``(..., 3)`` array; returns a new array.
+        Works on any ``(..., 3)`` array; returns a new (column-major)
+        array and never writes to ``displacement``.
         """
-        displacement = np.asarray(displacement, dtype=np.float64)
-        out = displacement.copy()
-        for axis in range(3):
-            if self.periodic[axis]:
-                length = self.lengths[axis]
-                # floor-based fold maps into [-L/2, L/2) and, unlike
-                # np.round's banker's rounding, resolves the exact-L/2 tie
-                # the same way for every lattice image of a displacement
-                out[..., axis] -= length * np.floor(
-                    out[..., axis] / length + 0.5
-                )
-        return out
+        folded = np.array(displacement, dtype=np.float64, order="F")
+        self._fold(folded)
+        return folded
+
+    def pair_displacements(
+        self, positions: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Minimum-image ``positions[i] - positions[j]`` per pair, and its
+        squared length.
+
+        Returns ``(delta, r2)`` with ``delta`` of shape ``(n_pairs, 3)``
+        and ``r2[k] = |delta[k]|^2``.  This is the one gather-and-fold
+        the kernels, the neighbor build and the analysis tools share.
+        ``delta`` is column-major, so the fold and the norm run along
+        the pairs instead of over rows of three.
+        """
+        delta = np.subtract(
+            np.take(positions, i_idx, axis=0),
+            np.take(positions, j_idx, axis=0),
+            order="F",
+        )
+        self._fold(delta)
+        return delta, squared_norms(delta)
+
+    def _fold(self, delta: np.ndarray) -> None:
+        """Minimum-image fold of ``delta`` in place (periodic axes only)."""
+        # floor-based fold maps into [-L/2, L/2) and, unlike np.round's
+        # banker's rounding, resolves the exact-L/2 tie the same way for
+        # every lattice image of a displacement
+        shift = np.divide(delta, self.lengths)
+        shift += 0.5
+        np.floor(shift, out=shift)
+        shift *= self.lengths
+        if not self.periodic.all():
+            shift[..., ~self.periodic] = 0.0
+        delta -= shift
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Minimum-image distances between position arrays ``a`` and ``b``."""
@@ -151,3 +182,8 @@ class Box:
         if factor <= 0:
             raise ValueError(f"scale factor must be positive, got {factor}")
         return Box(self.lengths * factor, tuple(self.periodic))
+
+
+def squared_norms(vectors: np.ndarray) -> np.ndarray:
+    """``|v|^2`` over the last axis of ``vectors`` (one pass, no temporary)."""
+    return np.einsum("...i,...i->...", vectors, vectors)

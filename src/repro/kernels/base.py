@@ -263,8 +263,15 @@ class KernelTier(ABC):
         nlist,
         counter=None,
         want_pair_energy: bool = True,
-    ) -> Tuple[np.ndarray, float]:
-        """Phase 1 (densities) with the pair-energy sum fused in."""
+    ) -> Tuple[np.ndarray, float, Optional[Tuple[np.ndarray, np.ndarray]]]:
+        """Phase 1 (densities) with the pair-energy sum fused in.
+
+        Returns ``(rho, pair_energy, geometry)``.  ``geometry`` is the
+        ``(delta, r)`` of every listed pair when the phase computed it
+        through :meth:`pair_geometry` (hand it to :meth:`force_phase` for
+        the same positions and list), else ``None``: compiled phases
+        fold pairs inside their loop and keep nothing.
+        """
 
     @abstractmethod
     def force_phase(
@@ -275,8 +282,14 @@ class KernelTier(ABC):
         nlist,
         fp: np.ndarray,
         counter=None,
+        geometry: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
-        """Phase 3: forces from the cached embedding derivatives."""
+        """Phase 3: forces from the cached embedding derivatives.
+
+        ``geometry``, when given, is what :meth:`density_and_pair_energy_phase`
+        returned for these positions and list; the phase then reuses it
+        instead of computing the pair geometry again.
+        """
 
     # --- fused SDC color-phase drivers ----------------------------------------
 

@@ -710,7 +710,7 @@ class NumbaKernelTier(KernelTier):
         values = _as_i64(nlist.csr.values)
         n_pairs = len(values)
         if n_pairs == 0:
-            return np.zeros(n), 0.0
+            return np.zeros(n), 0.0, None
         check_scatter_indices("density phase", n, values)
         offsets = _as_i64(nlist.csr.offsets)
         half = bool(nlist.half)
@@ -729,9 +729,9 @@ class NumbaKernelTier(KernelTier):
             pair_energy = 0.0
             if want_pair_energy:
                 pair_energy = float(energy) * (1.0 if half else 0.5)
-            return rho, pair_energy
+            return rho, pair_energy, None
 
-        rho, pair_energy = self._run(
+        rho, pair_energy, geometry = self._run(
             "density_and_pair_energy_phase",
             compiled,
             lambda: self._numpy.density_and_pair_energy_phase(
@@ -741,15 +741,16 @@ class NumbaKernelTier(KernelTier):
         if counter is not None:
             counter.add("density_pairs", n_pairs)
             counter.add("rho_updates", (2 if half else 1) * n_pairs)
-        return rho, pair_energy
+        return rho, pair_energy, geometry
 
     def force_phase(
-        self, potential, positions, box, nlist, fp, counter=None
+        self, potential, positions, box, nlist, fp, counter=None,
+        geometry=None,
     ):
         lowered = lower_potential(potential)
         if lowered is None:
             return self._numpy.force_phase(
-                potential, positions, box, nlist, fp, counter
+                potential, positions, box, nlist, fp, counter, geometry
             )
         n = len(positions)
         values = _as_i64(nlist.csr.values)
@@ -784,7 +785,7 @@ class NumbaKernelTier(KernelTier):
             "force_phase",
             compiled,
             lambda: self._numpy.force_phase(
-                potential, positions, box, nlist, fp, None
+                potential, positions, box, nlist, fp, None, geometry
             ),
         )
         if counter is not None:

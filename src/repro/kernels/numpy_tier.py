@@ -5,8 +5,15 @@ module-level functions in :mod:`repro.potentials.eam` (which now delegates
 here through the active tier).  They are the semantic ground truth: every
 other tier is tested against this one, and every fallback path lands here.
 
-The scatters use unbuffered ``np.add.at`` / ``np.bincount`` so repeated
-indices inside one slice accumulate correctly, and they operate happily on
+Pair geometry comes from :meth:`repro.geometry.box.Box.pair_displacements`,
+the gather-and-fold the neighbor build shares.  The fused density phase
+returns the ``(delta, r)`` it computed and the fused force phase reuses
+it, so a serial evaluation folds each pair once (paper Section II.D:
+never repeat per-pair work).
+
+Scatters are unbuffered (``np.add.at`` one column at a time, or
+``np.bincount``) so repeated indices inside one slice accumulate
+correctly.  ``np.add.at`` also works on
 :class:`~repro.analysis.shadow.ShadowArray` instrumented targets — which
 is why compiled tiers route instrumented calls through this tier.
 """
@@ -36,9 +43,8 @@ class NumpyKernelTier(KernelTier):
     # --- pair-slice primitives ----------------------------------------------
 
     def pair_geometry(self, positions, box, i_idx, j_idx):
-        delta = box.minimum_image(positions[i_idx] - positions[j_idx])
-        r = np.sqrt(np.sum(delta * delta, axis=1))
-        return delta, r
+        delta, r2 = box.pair_displacements(positions, i_idx, j_idx)
+        return delta, np.sqrt(r2, out=r2)
 
     def density_pair_values(self, potential, r):
         return potential.density(r)
@@ -101,8 +107,9 @@ class NumpyKernelTier(KernelTier):
         rho = np.zeros(n)
         i_idx, j_idx = nlist.pair_arrays()
         if len(i_idx) == 0:
-            return rho, 0.0
-        _, r = self.pair_geometry(positions, box, i_idx, j_idx)
+            return rho, 0.0, None
+        geometry = self.pair_geometry(positions, box, i_idx, j_idx)
+        r = geometry[1]
         phi = self.density_pair_values(potential, r)
         if nlist.half:
             rho += np.bincount(i_idx, weights=phi, minlength=n)
@@ -116,17 +123,20 @@ class NumpyKernelTier(KernelTier):
         if counter is not None:
             counter.add("density_pairs", len(i_idx))
             counter.add("rho_updates", (2 if nlist.half else 1) * len(i_idx))
-        return rho, pair_energy
+        return rho, pair_energy, geometry
 
     def force_phase(
-        self, potential, positions, box, nlist, fp, counter=None
+        self, potential, positions, box, nlist, fp, counter=None,
+        geometry=None,
     ):
         n = len(positions)
         forces = np.zeros((n, 3))
         i_idx, j_idx = nlist.pair_arrays()
         if len(i_idx) == 0:
             return forces
-        delta, r = self.pair_geometry(positions, box, i_idx, j_idx)
+        if geometry is None:
+            geometry = self.pair_geometry(positions, box, i_idx, j_idx)
+        delta, r = geometry
         coeff = self.force_pair_coefficients(
             potential, r, fp[i_idx], fp[j_idx], pair_ids=(i_idx, j_idx)
         )

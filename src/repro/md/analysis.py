@@ -54,8 +54,8 @@ def radial_distribution(
         positions, box, cutoff=r_max, skin=0.0, half=True
     )
     i_idx, j_idx = nlist.pair_arrays()
-    delta = box.minimum_image(positions[i_idx] - positions[j_idx])
-    distances = np.sqrt(np.sum(delta * delta, axis=1))
+    _, r2 = box.pair_displacements(positions, i_idx, j_idx)
+    distances = np.sqrt(r2)
     edges = np.linspace(0.0, r_max, n_bins + 1)
     counts, _ = np.histogram(distances, bins=edges)
     counts = counts * 2.0  # half list stores each pair once

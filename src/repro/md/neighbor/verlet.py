@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.geometry.box import Box
+from repro.geometry.box import Box, squared_norms
 from repro.md.neighbor.cells import CellList, build_cell_list, concat_ranges
 from repro.utils.arrays import CSR
 
@@ -80,7 +80,7 @@ class NeighborList:
         )
         if len(delta) == 0:
             return 0.0
-        return float(np.sqrt(np.max(np.sum(delta * delta, axis=1))))
+        return float(np.sqrt(np.max(squared_norms(delta))))
 
     def needs_rebuild(self, positions: np.ndarray) -> bool:
         """Standard Verlet criterion: any atom moved more than ``skin/2``."""
@@ -109,6 +109,36 @@ def _candidate_pairs(cells: CellList) -> Tuple[np.ndarray, np.ndarray]:
     j_ranges = concat_ranges(j_starts, i_rep)
     j_idx = cells.order[j_ranges]
     return i_idx, j_idx
+
+
+#: candidate pairs filtered per chunk: the chunk's pair geometry stays
+#: cache-sized and the build never holds it for all candidates at once
+FILTER_CHUNK = 1 << 16
+
+
+def _within_reach(
+    positions: np.ndarray,
+    box: Box,
+    i_idx: np.ndarray,
+    j_idx: np.ndarray,
+    reach: float,
+    half: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The candidate pairs, in order, with ``i != j`` (``i < j`` when
+    ``half``) and minimum-image distance ``<= reach``."""
+    kept_i, kept_j = [], []
+    for lo in range(0, len(i_idx), FILTER_CHUNK):
+        ii = i_idx[lo:lo + FILTER_CHUNK]
+        jj = j_idx[lo:lo + FILTER_CHUNK]
+        mask = ii < jj if half else ii != jj
+        ii, jj = ii[mask], jj[mask]
+        _, r2 = box.pair_displacements(positions, ii, jj)
+        keep = r2 <= reach * reach
+        kept_i.append(ii[keep])
+        kept_j.append(jj[keep])
+    if not kept_i:
+        return i_idx, j_idx
+    return np.concatenate(kept_i), np.concatenate(kept_j)
 
 
 def _pairs_to_csr(
@@ -163,16 +193,8 @@ def build_neighbor_list(
     n_atoms = len(positions)
     if cells is None:
         cells = build_cell_list(positions, box, reach)
-    i_idx, j_idx = _candidate_pairs(cells)
-    if len(i_idx):
-        mask = i_idx != j_idx
-        if half:
-            mask &= i_idx < j_idx
-        i_idx, j_idx = i_idx[mask], j_idx[mask]
-        delta = box.minimum_image(positions[i_idx] - positions[j_idx])
-        r2 = np.sum(delta * delta, axis=1)
-        keep = r2 <= reach * reach
-        i_idx, j_idx = i_idx[keep], j_idx[keep]
+    i_idx, j_idx = _within_reach(positions, box, *_candidate_pairs(cells),
+                                 reach, half)
     csr = _pairs_to_csr(i_idx, j_idx, n_atoms)
     return NeighborList(
         csr=csr,

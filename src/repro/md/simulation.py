@@ -72,7 +72,11 @@ class StepRecord:
 
 @dataclass
 class SimulationReport:
-    """What a :meth:`Simulation.run` call produced."""
+    """What a :meth:`Simulation.run` call produced.
+
+    ``n_neighbor_rebuilds`` and ``force_seconds`` count this call only,
+    including the initial force evaluation when it made one.
+    """
 
     records: List[StepRecord] = field(default_factory=list)
     n_steps: int = 0
@@ -260,6 +264,7 @@ class Simulation:
             raise ValueError("sample_every must be positive")
         report = SimulationReport()
         rebuilds_before = self.stopwatch.count("neighbor")
+        force_seconds_before = self.stopwatch.total("forces")
         if self._last_computation is None:
             self.compute_forces()
         assert self._last_computation is not None
@@ -311,7 +316,9 @@ class Simulation:
         report.n_neighbor_rebuilds = (
             self.stopwatch.count("neighbor") - rebuilds_before
         )
-        report.force_seconds = self.stopwatch.total("forces")
+        report.force_seconds = (
+            self.stopwatch.total("forces") - force_seconds_before
+        )
         if self.run_log is not None:
             self.run_log.log(
                 "event",

@@ -99,6 +99,7 @@ from repro.potentials.eam import (
     scatter_force_half,
     scatter_rho_half,
 )
+from repro.utils.arrays import scatter_add
 
 __all__ = [
     "HaloSpec",
@@ -799,10 +800,8 @@ class ShardedSDCCalculator(GroupEngine):
             for plan, views in zip(self._plans, arena.views):
                 local_forces = views["forces"]
                 forces[plan.owned] += local_forces[: plan.n_owned]
-                np.add.at(
-                    forces,
-                    plan.halo.source_ids,
-                    local_forces[plan.n_owned:],
+                scatter_add(
+                    forces, plan.halo.source_ids, local_forces[plan.n_owned:]
                 )
 
         self._n_computes += 1

@@ -262,9 +262,11 @@ def eam_density_and_pair_energy_phase(
     saves a third ``pair_arrays``/``pair_geometry`` pass over every pair.
     Returns ``(rho, pair_energy)``; the energy is 0.0 when not requested.
     """
-    return _tier(tier, "density_phase").density_and_pair_energy_phase(
+    phase = _tier(tier, "density_phase").density_and_pair_energy_phase
+    rho, pair_energy, _ = phase(
         potential, positions, box, nlist, counter, want_pair_energy
     )
+    return rho, pair_energy
 
 
 def eam_embedding_phase(
@@ -333,20 +335,24 @@ def compute_eam_forces_serial(
     also the timing baseline of the paper ("runtimes of serial programs on
     one core").  The pair energy is evaluated inside phase 1 (fused with
     the density pass, reusing the pair distances) rather than in a third
-    sweep over the pair list.  When ``profiler`` is given, each phase's
-    wall-clock is recorded under its canonical name.
+    sweep over the pair list, and the force phase reuses the pair
+    geometry ``(delta, r)`` the density phase computed, when the tier
+    returns it, so each pair is folded once per evaluation.  When
+    ``profiler`` is given, each phase's wall-clock is recorded under its
+    canonical name.
     """
     positions = atoms.positions
     box = atoms.box
     with profiler.phase("density") if profiler else NULL_PHASE:
-        rho, pair_energy = eam_density_and_pair_energy_phase(
-            potential, positions, box, nlist, counter, tier=tier
+        density = _tier(tier, "density_phase").density_and_pair_energy_phase
+        rho, pair_energy, geometry = density(
+            potential, positions, box, nlist, counter
         )
     with profiler.phase("embedding") if profiler else NULL_PHASE:
         emb_energy, fp = eam_embedding_phase(potential, rho, counter)
     with profiler.phase("force") if profiler else NULL_PHASE:
-        forces = eam_force_phase(
-            potential, positions, box, nlist, fp, counter, tier=tier
+        forces = _tier(tier, "force_phase").force_phase(
+            potential, positions, box, nlist, fp, counter, geometry=geometry
         )
     atoms.rho[:] = rho
     atoms.fp[:] = fp

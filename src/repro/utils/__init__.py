@@ -5,6 +5,7 @@ from repro.utils.arrays import (
     csr_from_lists,
     csr_rows,
     invert_permutation,
+    scatter_add,
     segment_sum,
 )
 from repro.utils.rng import default_rng, spawn_rngs
@@ -21,6 +22,7 @@ __all__ = [
     "csr_from_lists",
     "csr_rows",
     "invert_permutation",
+    "scatter_add",
     "segment_sum",
     "default_rng",
     "spawn_rngs",

@@ -108,16 +108,24 @@ def csr_rows(csr: CSR) -> list[list[int]]:
     return [csr.row(r).tolist() for r in range(csr.n_rows)]
 
 
-def segment_sum(values: np.ndarray, segment_ids: np.ndarray, n_segments: int) -> np.ndarray:
-    """Scatter-add ``values`` into ``n_segments`` bins keyed by ``segment_ids``.
+def scatter_add(
+    target: np.ndarray, segment_ids: np.ndarray, values: np.ndarray
+) -> None:
+    """Unbuffered in-place ``target[segment_ids[k]] += values[k]``.
 
     This is the irregular reduction at the heart of the paper: ``rho[j] +=``
-    and ``force[j] -=`` over a neighbor list.  ``np.add.at`` is used: on
-    NumPy >= 2 its indexed-add fast path beats ``np.bincount`` for these
-    integer-keyed streams (measured ~1.5x on million-atom workloads; older
-    NumPy releases preferred bincount).
+    and ``force[j] -=`` over a neighbor list.  Repeated ids accumulate
+    (``np.add.at`` semantics) and every id must lie in
+    ``[0, len(target))``: ids outside raise ``IndexError`` instead of
+    wrapping around.
 
-    Supports 1-D values or 2-D ``(n, k)`` values (summed per column).
+    1-D values take one ``np.add.at``; on NumPy 2.4 it runs within ~20%
+    of ``np.bincount``.  NumPy's indexed-add fast path covers 1-D
+    operands only, so 2-D ``(n, k)`` values are added one column at a
+    time: one ``np.add.at`` on an ``(n, 3)`` target is ~7x slower than
+    three column calls.  Each column call is
+    still an ``np.add.at`` on a view of ``target``, so instrumented
+    targets record the same writes.
     """
     segment_ids = np.asarray(segment_ids)
     values = np.asarray(values)
@@ -127,15 +135,29 @@ def segment_sum(values: np.ndarray, segment_ids: np.ndarray, n_segments: int) ->
         raise ValueError(
             f"values first axis {values.shape[:1]} must match segment_ids {segment_ids.shape}"
         )
+    if values.ndim not in (1, 2):
+        raise ValueError("values must be 1-D or 2-D")
+    if len(segment_ids) and segment_ids.min() < 0:
+        raise IndexError(
+            f"segment id {int(segment_ids.min())} is negative"
+        )
     if values.ndim == 1:
-        out = np.zeros(n_segments)
-        np.add.at(out, segment_ids, values)
-        return out
-    if values.ndim == 2:
-        out = np.zeros((n_segments, values.shape[1]))
-        np.add.at(out, segment_ids, values)
-        return out
-    raise ValueError("values must be 1-D or 2-D")
+        np.add.at(target, segment_ids, values)
+        return
+    for column in range(values.shape[1]):
+        np.add.at(target[:, column], segment_ids, values[:, column])
+
+
+def segment_sum(values: np.ndarray, segment_ids: np.ndarray, n_segments: int) -> np.ndarray:
+    """Scatter-add ``values`` into ``n_segments`` fresh bins keyed by
+    ``segment_ids`` (see :func:`scatter_add` for the accumulation).
+
+    Supports 1-D values or 2-D ``(n, k)`` values (summed per column).
+    """
+    values = np.asarray(values)
+    out = np.zeros((n_segments,) + values.shape[1:])
+    scatter_add(out, segment_ids, values)
+    return out
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:

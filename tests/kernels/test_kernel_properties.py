@@ -76,7 +76,7 @@ def perturbed_system(amplitude: float, seed: int):
 
 
 def full_forces(tier, positions, box, nlist):
-    rho, _ = tier.density_and_pair_energy_phase(
+    rho, _, _ = tier.density_and_pair_energy_phase(
         POTENTIAL, positions, box, nlist
     )
     fp = POTENTIAL.embed_deriv(rho)

@@ -42,7 +42,7 @@ def pair_slice(small_atoms, small_nlist, potential):
     delta, r = kernels.get("numpy").pair_geometry(
         small_atoms.positions, small_atoms.box, i_idx, j_idx
     )
-    rho, _ = kernels.get("numpy").density_and_pair_energy_phase(
+    rho, _, _ = kernels.get("numpy").density_and_pair_energy_phase(
         potential, small_atoms.positions, small_atoms.box, small_nlist
     )
     fp = potential.embed_deriv(rho)
@@ -139,10 +139,10 @@ class TestEntryPoints:
         self, tiers, potential, small_atoms, small_nlist
     ):
         numpy_tier, numba_tier = tiers
-        rho_np, e_np = numpy_tier.density_and_pair_energy_phase(
+        rho_np, e_np, _ = numpy_tier.density_and_pair_energy_phase(
             potential, small_atoms.positions, small_atoms.box, small_nlist
         )
-        rho_nb, e_nb = numba_tier.density_and_pair_energy_phase(
+        rho_nb, e_nb, _ = numba_tier.density_and_pair_energy_phase(
             potential, small_atoms.positions, small_atoms.box, small_nlist
         )
         np.testing.assert_allclose(rho_nb, rho_np, rtol=1e-12, atol=1e-12)
@@ -338,10 +338,10 @@ class TestRealNumba:
         numba_tier = kernels.get(variant)
         assert numba_tier.name == variant and numba_tier.compiled
         numpy_tier = kernels.get("numpy")
-        rho_np, e_np = numpy_tier.density_and_pair_energy_phase(
+        rho_np, e_np, _ = numpy_tier.density_and_pair_energy_phase(
             potential, small_atoms.positions, small_atoms.box, small_nlist
         )
-        rho_nb, e_nb = numba_tier.density_and_pair_energy_phase(
+        rho_nb, e_nb, _ = numba_tier.density_and_pair_energy_phase(
             potential, small_atoms.positions, small_atoms.box, small_nlist
         )
         np.testing.assert_allclose(rho_nb, rho_np, rtol=1e-10, atol=1e-12)

@@ -1,5 +1,7 @@
 """The MD driver: stepping, neighbor management, reports."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,23 @@ class TestRun:
     def test_zero_steps(self, sim):
         report = sim.run(0)
         assert report.n_steps == 0
+
+    def test_report_counts_only_its_own_run(self, sim):
+        first = sim.run(4)
+        started = time.perf_counter()
+        second = sim.run(4)
+        wall = time.perf_counter() - started
+        total = sim.stopwatch.total("forces")
+        assert first.force_seconds > 0.0
+        assert second.force_seconds > 0.0
+        assert second.force_seconds <= wall
+        assert first.force_seconds + second.force_seconds == pytest.approx(
+            total, rel=1e-12
+        )
+        assert (
+            first.n_neighbor_rebuilds + second.n_neighbor_rebuilds
+            == sim.stopwatch.count("neighbor")
+        )
 
     def test_rejects_negative_steps(self, sim):
         with pytest.raises(ValueError):

@@ -269,3 +269,39 @@ class TestFusedPairEnergy:
             potential, small_atoms.positions, small_atoms.box, full
         )
         assert e_full == pytest.approx(e_half, rel=1e-12)
+
+
+class TestSerialGeometryHandOver:
+    """The serial evaluation folds each pair once: the force phase reuses
+    the density phase's ``(delta, r)`` instead of recomputing it."""
+
+    @pytest.mark.parametrize("half", [True, False])
+    def test_one_pair_geometry_per_evaluation(
+        self, small_atoms, potential, small_nlist, monkeypatch, half
+    ):
+        from repro.kernels.numpy_tier import NumpyKernelTier
+
+        nlist = small_nlist if half else full_from_half(small_nlist)
+        tier = NumpyKernelTier()
+        calls = []
+        original = tier.pair_geometry
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tier, "pair_geometry", spy)
+        atoms = small_atoms.copy()
+        result = compute_eam_forces_serial(potential, atoms, nlist, tier=tier)
+        assert len(calls) == 1
+
+        # two-pass reference: the force phase computes its own geometry
+        rho = eam_density_phase(
+            potential, atoms.positions, atoms.box, nlist, tier=tier
+        )
+        _, fp = eam_embedding_phase(potential, rho)
+        two_pass = tier.force_phase(
+            potential, atoms.positions, atoms.box, nlist, fp
+        )
+        assert len(calls) == 3
+        np.testing.assert_allclose(result.forces, two_pass, rtol=0, atol=1e-12)

@@ -10,6 +10,7 @@ from repro.utils.arrays import (
     csr_from_lists,
     csr_rows,
     invert_permutation,
+    scatter_add,
     segment_sum,
 )
 
@@ -119,6 +120,49 @@ class TestSegmentSum:
     def test_3d_rejected(self):
         with pytest.raises(ValueError):
             segment_sum(np.ones((2, 2, 2)), np.zeros(2, dtype=int), 2)
+
+    def test_2d_matches_add_at_on_repeated_ids(self, rng):
+        # few bins, many pairs: every bin is hit ~500 times
+        ids = rng.integers(0, 8, size=4000)
+        values = rng.normal(size=(4000, 3))
+        expected = np.zeros((8, 3))
+        np.add.at(expected, ids, values)
+        assert np.array_equal(segment_sum(values, ids, 8), expected)
+
+    def test_2d_matches_add_at_on_non_contiguous_view(self, rng):
+        base = rng.normal(size=(1200, 7))
+        values = base[::2, 1:6:2]  # strided rows and columns
+        assert not values.flags.c_contiguous
+        assert not values.flags.f_contiguous
+        ids = rng.integers(0, 40, size=len(values))
+        expected = np.zeros((40, 3))
+        np.add.at(expected, ids, values)
+        assert np.array_equal(segment_sum(values, ids, 40), expected)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_ids_outside_bins_raise(self, bad, width):
+        shape = (3,) if width is None else (3, width)
+        ids = np.array([0, bad, 1])
+        with pytest.raises(IndexError):
+            segment_sum(np.ones(shape), ids, 5)
+
+
+class TestScatterAdd:
+    def test_accumulates_into_existing_target(self, rng):
+        target = rng.normal(size=(30, 3))
+        ids = rng.integers(0, 30, size=500)
+        values = rng.normal(size=(500, 3))
+        expected = target.copy()
+        np.add.at(expected, ids, values)
+        scatter_add(target, ids, values)
+        assert np.array_equal(target, expected)
+
+    def test_negative_id_raises_before_writing(self):
+        target = np.zeros((4, 3))
+        with pytest.raises(IndexError):
+            scatter_add(target, np.array([1, -1]), np.ones((2, 3)))
+        assert not target.any()
 
 
 class TestInvertPermutation:
