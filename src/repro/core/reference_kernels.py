@@ -128,9 +128,8 @@ def fig7_sdc_density(
         for spart in _subdomains_of_color(schedule, cpart):
             for ipart in range(pstart[spart], pstart[spart + 1]):
                 i = int(partindex[ipart])
-                lo, hi = pairs.offsets[spart], pairs.offsets[spart + 1]
-                row_mask = pairs.i_idx[lo:hi] == i
-                for j in pairs.j_idx[lo:hi][row_mask]:
+                i_pairs, j_pairs = pairs.pairs_of(spart)
+                for j in j_pairs[i_pairs == i]:
                     _, r = _pair_distance(positions, box, i, int(j))
                     phi = float(potential.density(np.array([r]))[0])
                     rho[i] += phi
@@ -155,9 +154,8 @@ def fig8_sdc_force(
         for spart in _subdomains_of_color(schedule, cpart):
             for ipart in range(pstart[spart], pstart[spart + 1]):
                 i = int(partindex[ipart])
-                lo, hi = pairs.offsets[spart], pairs.offsets[spart + 1]
-                row_mask = pairs.i_idx[lo:hi] == i
-                for j in pairs.j_idx[lo:hi][row_mask]:
+                i_pairs, j_pairs = pairs.pairs_of(spart)
+                for j in j_pairs[i_pairs == i]:
                     j = int(j)
                     delta, r = _pair_distance(positions, box, i, j)
                     vp = float(potential.pair_energy_deriv(np.array([r]))[0])

@@ -2,10 +2,13 @@
 
 Execution structure per force evaluation (paper Figs. 7-8):
 
-* **density region**: for each color, all subdomains of that color run in
-  parallel; each subdomain task evaluates phi over its owned half-list
-  pairs and scatters into both endpoints.  No locks — same-color write
-  sets are disjoint by construction.  Implicit barrier between colors.
+* **density region**: for each color, the subdomains of that color run in
+  parallel.  As in the paper's ``#pragma omp for schedule(static)``, each
+  thread takes one contiguous block of the color's subdomains; the pair
+  partition lays the pairs out in schedule order, so that block is one
+  pair slice and one kernel-tier call that evaluates phi and scatters
+  into both endpoints.  No locks — same-color write sets are disjoint by
+  construction.  Implicit barrier between colors.
 * **embedding region**: a plain parallel-for over atoms (no dependences).
 * **force region**: same color structure with the Eq. 2 scatter.
 """
@@ -34,14 +37,8 @@ from repro.parallel.machine import MachineConfig
 from repro.parallel.plan import SimPhase, SimPlan, uniform_phase
 from repro.parallel.workload import BYTES_PER_ATOM, WorkloadStats
 from repro.potentials.base import EAMPotential
-from repro.potentials.eam import (
-    EAMComputation,
-    density_pair_values,
-    force_pair_coefficients,
-    pair_geometry,
-    scatter_force_half,
-    scatter_rho_half,
-)
+from repro.potentials.eam import EAMComputation
+from repro.utils.identity import IdentityKey
 
 
 def _count_health(name: str) -> None:
@@ -88,16 +85,18 @@ class SDCStrategy(ReductionStrategy):
         edges below ``2 * reach``).
     fused:
         color-phase fusion control.  ``None`` (default) fuses each color
-        into one kernel-tier call whenever the active tier advertises
+        into one kernel-tier task whenever the active tier advertises
         :meth:`~repro.kernels.KernelTier.fused_color_phases` for the
         potential (the numba variants with a lowerable potential) — the
-        cell-blocked pair traversal then runs entirely inside compiled
-        code, with ``numba-parallel`` ``prange``-ing over the color's
-        subdomains.  ``False`` always uses per-subdomain tasks;
-        ``True`` forces fusion even on tiers whose generic driver just
-        re-composes the primitives (a differential-testing hook).
-        Instrumented (racecheck) runs never fuse, so write sets keep
-        their per-subdomain attribution.
+        pair traversal then runs entirely inside compiled code, with
+        ``numba-parallel`` ``prange``-ing over the color's subdomains.
+        ``False`` always uses one task per thread block of each color
+        (at most ``n_threads`` tasks per color phase, each one pair
+        slice); ``True`` forces fusion even on tiers whose generic
+        driver just runs the slices in turn (a differential-testing
+        hook).  Instrumented (racecheck) runs never fuse and run one
+        subdomain per task, so write sets keep their per-subdomain
+        attribution.
     """
 
     name = "sdc"
@@ -131,7 +130,7 @@ class SDCStrategy(ReductionStrategy):
         self.schedule_transform = schedule_transform
         self.grid_factory = grid_factory
         self.fused = fused
-        self._cached_nlist_id: Optional[int] = None
+        self._key: Optional[IdentityKey] = None
         self._grid: Optional[SubdomainGrid] = None
         self._pairs: Optional[PairPartition] = None
         self._schedule: Optional[ColorSchedule] = None
@@ -145,7 +144,7 @@ class SDCStrategy(ReductionStrategy):
         Matches the paper: "steps 1 and 2 will be done when the neighbor
         list is created or updated".
         """
-        if self._cached_nlist_id == id(nlist) and self._pairs is not None:
+        if self._key is not None and self._key.matches(nlist):
             _count_health("sdc_decomp_cache_hit")
             return
         _count_health("sdc_decomp_cache_miss")
@@ -167,10 +166,10 @@ class SDCStrategy(ReductionStrategy):
         coloring = lattice_coloring(grid)
         validate_coloring(grid, coloring)
         partition = build_partition(nlist.reference_positions, grid)
-        pairs = build_pair_partition(partition, nlist)
         schedule = build_schedule(coloring)
         if self.schedule_transform is not None:
             schedule = self.schedule_transform(schedule)
+        pairs = build_pair_partition(partition, nlist, schedule)
         if self.validate_conflicts:
             report = check_schedule_conflicts(pairs, schedule)
             if not report.ok:
@@ -181,7 +180,7 @@ class SDCStrategy(ReductionStrategy):
         self._grid = grid
         self._pairs = pairs
         self._schedule = schedule
-        self._cached_nlist_id = id(nlist)
+        self._key = IdentityKey(nlist)
 
     @property
     def grid(self) -> Optional[SubdomainGrid]:
@@ -216,39 +215,27 @@ class SDCStrategy(ReductionStrategy):
         schedule = self._schedule
         tier = self._tier()
         fused = self._use_fused(tier, potential)
+        chunks = self._color_chunks(fused)
         positions = atoms.positions
         box = atoms.box
         n = atoms.n_atoms
 
-        # phase 1: densities, color by color
+        # phase 1: densities, color by color; each task returns its
+        # chunk's pair-energy partial, so no separate energy pass
         rho = self._array("rho", n)
-        # fused drivers return per-color pair-energy partials, saving the
-        # separate full-pair-list energy pass at the end
-        color_energy = np.zeros(max(len(schedule.phases), 1))
+        pair_parts = [np.zeros(len(color_chunks)) for color_chunks in chunks]
 
-        def density_task(subdomain: int):
+        def density_task(color: int, k: int, slots: np.ndarray):
             def run() -> None:
-                i_idx, j_idx = pairs.pairs_of(subdomain)
-                if len(i_idx) == 0:
-                    return
-                _, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
-                phi = density_pair_values(potential, r, tier=tier)
-                scatter_rho_half(rho, i_idx, j_idx, phi, tier=tier)
-
-            return run
-
-        def fused_density_task(color: int, members: np.ndarray):
-            def run() -> None:
-                color_energy[color] = tier.sdc_density_color_phase(
+                pair_parts[color][k] = tier.sdc_density_color_phase(
                     potential,
                     positions,
                     box,
                     pairs.i_idx,
                     pairs.j_idx,
                     pairs.offsets,
-                    np.asarray(members, dtype=np.int64),
+                    slots,
                     rho,
-                    want_pair_energy=True,
                 )
 
             return run
@@ -261,14 +248,12 @@ class SDCStrategy(ReductionStrategy):
                     n_subdomains=len(members),
                     fused=fused,
                 ):
-                    if fused:
-                        self.backend.run_phase(
-                            [fused_density_task(color, members)]
-                        )
-                    else:
-                        self.backend.run_phase(
-                            [density_task(int(s)) for s in members]
-                        )
+                    self.backend.run_phase(
+                        [
+                            density_task(color, k, slots)
+                            for k, slots in enumerate(chunks[color])
+                        ]
+                    )
 
         # phase 2: embedding, plain parallel for
         fp = np.empty(n)
@@ -281,37 +266,18 @@ class SDCStrategy(ReductionStrategy):
 
             return run
 
-        chunks = atom_chunks(n, self.n_threads)
+        atom_rows = atom_chunks(n, self.n_threads)
         with self._phase("embedding"):
-            with self._span("embedding", n_chunks=len(chunks)):
+            with self._span("embedding", n_chunks=len(atom_rows)):
                 self.backend.run_phase(
-                    [embed_task(k, rows) for k, rows in enumerate(chunks)]
+                    [embed_task(k, rows) for k, rows in enumerate(atom_rows)]
                 )
         embedding_energy = float(np.sum(emb_parts))
 
         # phase 3: forces, color by color
         forces = self._array("forces", (n, 3))
 
-        def force_task(subdomain: int):
-            def run() -> None:
-                i_idx, j_idx = pairs.pairs_of(subdomain)
-                if len(i_idx) == 0:
-                    return
-                delta, r = pair_geometry(positions, box, i_idx, j_idx, tier=tier)
-                coeff = force_pair_coefficients(
-                    potential,
-                    r,
-                    fp[i_idx],
-                    fp[j_idx],
-                    pair_ids=(i_idx, j_idx),
-                    tier=tier,
-                )
-                pair_forces = coeff[:, None] * delta
-                scatter_force_half(forces, i_idx, j_idx, pair_forces, tier=tier)
-
-            return run
-
-        def fused_force_task(members: np.ndarray):
+        def force_task(slots: np.ndarray):
             def run() -> None:
                 tier.sdc_force_color_phase(
                     potential,
@@ -320,7 +286,7 @@ class SDCStrategy(ReductionStrategy):
                     pairs.i_idx,
                     pairs.j_idx,
                     pairs.offsets,
-                    np.asarray(members, dtype=np.int64),
+                    slots,
                     fp,
                     forces,
                 )
@@ -335,22 +301,36 @@ class SDCStrategy(ReductionStrategy):
                     n_subdomains=len(members),
                     fused=fused,
                 ):
-                    if fused:
-                        self.backend.run_phase([fused_force_task(members)])
-                    else:
-                        self.backend.run_phase(
-                            [force_task(int(s)) for s in members]
-                        )
+                    self.backend.run_phase(
+                        [force_task(slots) for slots in chunks[color]]
+                    )
 
-        if fused:
-            # the fused density drivers already summed phi-pair energies
-            # color by color over the full (half) pair partition
-            pair_energy = float(np.sum(color_energy))
-        else:
-            pair_energy = self._total_pair_energy(potential, atoms, nlist)
+        pair_energy = float(sum(np.sum(parts) for parts in pair_parts))
         return self._finalize(
             potential, atoms, nlist, rho, fp, forces, embedding_energy, pair_energy
         )
+
+    def _color_chunks(self, fused: bool) -> List[List[np.ndarray]]:
+        """Per color, the slot arrays of its tasks (one task each).
+
+        Fused: the whole color.  Instrumented: one subdomain per task, so
+        the race detector attributes writes per subdomain.  Otherwise one
+        contiguous ``thread_assignment`` block per thread — consecutive
+        slots of the schedule-ordered layout, which the kernel tier runs
+        as a single pair slice.  Empty blocks get no task.
+        """
+        pairs = self._pairs
+        schedule = self._schedule
+        chunks = []
+        for color, members in enumerate(schedule.phases):
+            if fused:
+                blocks = [members]
+            elif self._instrument is not None:
+                blocks = [members[k : k + 1] for k in range(len(members))]
+            else:
+                blocks = schedule.thread_assignment(color, self.n_threads)
+            chunks.append([pairs.slots(block) for block in blocks if len(block)])
+        return chunks
 
     def _use_fused(self, tier, potential: EAMPotential) -> bool:
         """Decide color-phase fusion for this compute (see class docstring).

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from abc import ABC, abstractmethod
-from typing import ClassVar, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -171,16 +171,15 @@ class KernelTier(ABC):
         return True
 
     def fused_color_phases(self, potential) -> bool:
-        """True when the SDC color-phase drivers below run as single
-        compiled calls for ``potential``.
+        """True when one call of the SDC color-phase drivers below should
+        cover a whole color for ``potential``.
 
-        The generic implementations work on every tier but merely
-        re-compose the pair-slice primitives, so they are not worth
-        replacing a backend's per-subdomain task dispatch for (that
-        dispatch is what gives the threads backend its concurrency).  A
-        compiled tier overrides this to advertise that one call covers
-        the whole color — the SDC strategy then collapses each color
-        into a single fused task.
+        The generic implementations work on every tier but run one pair
+        slice at a time, so the SDC strategy hands them one thread's
+        block of the color per backend task (that split is what gives
+        the threads backend its concurrency).  A compiled tier overrides
+        this to advertise that it parallelizes inside one call — the SDC
+        strategy then collapses each color into a single fused task.
         """
         return False
 
@@ -301,26 +300,25 @@ class KernelTier(ABC):
         i_idx: np.ndarray,
         j_idx: np.ndarray,
         offsets: np.ndarray,
-        members: np.ndarray,
+        slots: np.ndarray,
         rho: np.ndarray,
         want_pair_energy: bool = True,
     ) -> float:
-        """One SDC density color phase: scatter phi over every member
-        subdomain's pairs, returning the color's pair-energy partial.
+        """Scatter phi over the pairs of ``slots`` — one color, or one
+        thread's block of it — returning their pair-energy partial.
 
-        ``i_idx``/``j_idx`` are the pair partition's permuted
-        (subdomain-contiguous, cell-blocked) pair arrays, ``offsets`` its
-        per-subdomain CSR offsets, ``members`` the subdomain ids of this
-        color.  Same-color write sets are disjoint by construction, which
-        is what makes a ``parallel=True`` override race-free.  The
-        generic implementation composes the pair-slice primitives
-        subdomain by subdomain.
+        ``i_idx``/``j_idx``/``offsets`` are a
+        :class:`~repro.core.partition.PairPartition`'s schedule-ordered
+        pair arrays and slot offsets; ``slots`` are slot positions (see
+        ``PairPartition.slots``) of subdomains of one color.  Same-color
+        write sets are disjoint by construction, which is what makes a
+        ``parallel=True`` override race-free.  The generic
+        implementation runs each maximal run of consecutive slots as one
+        pair slice through the primitives; every atom still receives its
+        contributions in the order a subdomain-by-subdomain walk gives.
         """
         energy = 0.0
-        for s in members:
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            if hi == lo:
-                continue
+        for lo, hi in slot_ranges(offsets, slots):
             ii = i_idx[lo:hi]
             jj = j_idx[lo:hi]
             _, r = self.pair_geometry(positions, box, ii, jj)
@@ -338,16 +336,13 @@ class KernelTier(ABC):
         i_idx: np.ndarray,
         j_idx: np.ndarray,
         offsets: np.ndarray,
-        members: np.ndarray,
+        slots: np.ndarray,
         fp: np.ndarray,
         forces: np.ndarray,
     ) -> None:
-        """One SDC force color phase: Eq. 2 scatter over every member
-        subdomain's pairs (layout as in :meth:`sdc_density_color_phase`)."""
-        for s in members:
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            if hi == lo:
-                continue
+        """Eq. 2 scatter over the pairs of ``slots`` (layout and slicing
+        as in :meth:`sdc_density_color_phase`)."""
+        for lo, hi in slot_ranges(offsets, slots):
             ii = i_idx[lo:hi]
             jj = j_idx[lo:hi]
             delta, r = self.pair_geometry(positions, box, ii, jj)
@@ -355,3 +350,26 @@ class KernelTier(ABC):
                 potential, r, fp[ii], fp[jj], pair_ids=(ii, jj)
             )
             self.scatter_force_half(forces, ii, jj, coeff[:, None] * delta)
+
+
+def slot_ranges(offsets: np.ndarray, slots) -> List[Tuple[int, int]]:
+    """Non-empty ``[lo, hi)`` pair ranges of the maximal runs of
+    consecutive ``slots`` (``slots[k+1] == slots[k] + 1``).
+
+    Raises ``IndexError`` for a slot outside ``[0, len(offsets) - 1)``.
+    """
+    slots = np.asarray(slots, dtype=np.int64)
+    if len(slots) == 0:
+        return []
+    n_slots = len(offsets) - 1
+    if int(slots.min()) < 0 or int(slots.max()) >= n_slots:
+        raise IndexError(f"color phase got a slot outside [0, {n_slots})")
+    breaks = np.flatnonzero(np.diff(slots) != 1) + 1
+    firsts = slots[np.concatenate(([0], breaks))]
+    lasts = slots[np.concatenate((breaks - 1, [len(slots) - 1]))]
+    ranges = []
+    for first, last in zip(firsts, lasts):
+        lo, hi = int(offsets[first]), int(offsets[last + 1])
+        if hi > lo:
+            ranges.append((lo, hi))
+    return ranges

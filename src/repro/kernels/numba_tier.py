@@ -54,6 +54,7 @@ from repro.kernels.base import (
     check_scatter_indices,
     is_plain_ndarray,
     overlap_error,
+    slot_ranges,
     warn_tier_once,
 )
 from repro.kernels.config import KernelTierConfig
@@ -400,21 +401,21 @@ def build_kernel_set(
     # --- fused SDC color-phase kernels ------------------------------------
     #
     # One call executes one color of the SDC schedule over the pair
-    # partition's subdomain-contiguous (cell-blocked) pair arrays.  The
-    # outer loop is over member subdomains — their write sets are
-    # disjoint within a color, so ``prange`` here is race-free by
+    # partition's schedule-ordered pair arrays.  The outer loop is over
+    # the color's slots (one member subdomain each) — their write sets
+    # are disjoint within a color, so ``prange`` here is race-free by
     # construction; the scatter loop inside one subdomain stays
     # sequential.  Scalar sum/min reductions (energy, rmin) are the
     # prange reduction forms Numba supports.
 
     @jit(par=parallel)
     def sdc_density_color_phase(
-        positions, lengths, pflags, pi, pj, offsets, members, rho,
+        positions, lengths, pflags, pi, pj, offsets, slots, rho,
         want_energy, kind, params, x0, h, dyv, dmv, pyv, pmv,
     ):
         energy = 0.0
-        for m in _pr(members.shape[0]):
-            s = members[m]
+        for m in _pr(slots.shape[0]):
+            s = slots[m]
             for k in range(offsets[s], offsets[s + 1]):
                 i = pi[k]
                 j = pj[k]
@@ -441,12 +442,12 @@ def build_kernel_set(
 
     @jit(par=parallel)
     def sdc_force_color_phase(
-        positions, lengths, pflags, pi, pj, offsets, members, fp, forces,
+        positions, lengths, pflags, pi, pj, offsets, slots, fp, forces,
         kind, params, x0, h, dyv, dmv, pyv, pmv,
     ):
         rmin = np.inf
-        for m in _pr(members.shape[0]):
-            s = members[m]
+        for m in _pr(slots.shape[0]):
+            s = slots[m]
             for k in range(offsets[s], offsets[s + 1]):
                 i = pi[k]
                 j = pj[k]
@@ -545,7 +546,7 @@ class NumbaKernelTier(KernelTier):
 
     def fused_color_phases(self, potential) -> bool:
         """The SDC color-phase drivers run as one compiled call per color
-        (worth collapsing the per-subdomain task dispatch) whenever the
+        (worth collapsing the per-thread task split) whenever the
         potential lowers and the JIT has not degraded."""
         return not self._broken and lower_potential(potential) is not None
 
@@ -795,32 +796,18 @@ class NumbaKernelTier(KernelTier):
 
     # --- fused SDC color-phase drivers --------------------------------------
 
-    def _check_color_phase(
-        self, what, n_atoms, i_idx, j_idx, offsets, members
-    ):
-        """Dispatch-time validation for one color's member slices."""
-        n_sub = len(offsets) - 1
-        if len(members) and (
-            int(members.min()) < 0 or int(members.max()) >= n_sub
-        ):
-            raise IndexError(
-                f"{what} got subdomain id outside [0, {n_sub})"
-            )
-        for s in members:
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            check_scatter_indices(
-                what, n_atoms, i_idx[lo:hi], j_idx[lo:hi]
-            )
+    def _check_color_phase(self, what, n_atoms, i_idx, j_idx, offsets, slots):
+        """Dispatch-time validation of one color phase's pair slices."""
+        for lo, hi in slot_ranges(offsets, slots):
+            check_scatter_indices(what, n_atoms, i_idx[lo:hi], j_idx[lo:hi])
 
-    def _color_phase_pairs(self, i_idx, j_idx, offsets, members):
+    def _color_phase_pairs(self, i_idx, j_idx, offsets, slots):
         """Concatenated (i, j) pair slices of a color (error paths only)."""
-        parts_i = [
-            i_idx[int(offsets[s]): int(offsets[s + 1])] for s in members
-        ]
-        parts_j = [
-            j_idx[int(offsets[s]): int(offsets[s + 1])] for s in members
-        ]
-        return np.concatenate(parts_i), np.concatenate(parts_j)
+        ranges = slot_ranges(offsets, slots)
+        return (
+            np.concatenate([i_idx[lo:hi] for lo, hi in ranges]),
+            np.concatenate([j_idx[lo:hi] for lo, hi in ranges]),
+        )
 
     def sdc_density_color_phase(
         self,
@@ -830,22 +817,22 @@ class NumbaKernelTier(KernelTier):
         i_idx,
         j_idx,
         offsets,
-        members,
+        slots,
         rho,
         want_pair_energy: bool = True,
     ):
         lowered = lower_potential(potential)
         if lowered is None or not is_plain_ndarray(rho):
             return super().sdc_density_color_phase(
-                potential, positions, box, i_idx, j_idx, offsets, members,
+                potential, positions, box, i_idx, j_idx, offsets, slots,
                 rho, want_pair_energy,
             )
-        members = _as_i64(np.asarray(members))
+        slots = _as_i64(np.asarray(slots))
         i_idx = _as_i64(i_idx)
         j_idx = _as_i64(j_idx)
         offsets = _as_i64(offsets)
         self._check_color_phase(
-            "density color phase", len(rho), i_idx, j_idx, offsets, members
+            "density color phase", len(rho), i_idx, j_idx, offsets, slots
         )
         return self._run(
             "sdc_density_color_phase",
@@ -857,14 +844,14 @@ class NumbaKernelTier(KernelTier):
                     i_idx,
                     j_idx,
                     offsets,
-                    members,
+                    slots,
                     rho,
                     want_pair_energy,
                     *lowered.args,
                 )
             ),
             lambda: super(NumbaKernelTier, self).sdc_density_color_phase(
-                potential, positions, box, i_idx, j_idx, offsets, members,
+                potential, positions, box, i_idx, j_idx, offsets, slots,
                 rho, want_pair_energy,
             ),
         )
@@ -877,22 +864,22 @@ class NumbaKernelTier(KernelTier):
         i_idx,
         j_idx,
         offsets,
-        members,
+        slots,
         fp,
         forces,
     ):
         lowered = lower_potential(potential)
         if lowered is None or not is_plain_ndarray(forces):
             return super().sdc_force_color_phase(
-                potential, positions, box, i_idx, j_idx, offsets, members,
+                potential, positions, box, i_idx, j_idx, offsets, slots,
                 fp, forces,
             )
-        members = _as_i64(np.asarray(members))
+        slots = _as_i64(np.asarray(slots))
         i_idx = _as_i64(i_idx)
         j_idx = _as_i64(j_idx)
         offsets = _as_i64(offsets)
         self._check_color_phase(
-            "force color phase", len(forces), i_idx, j_idx, offsets, members
+            "force color phase", len(forces), i_idx, j_idx, offsets, slots
         )
 
         def compiled():
@@ -903,7 +890,7 @@ class NumbaKernelTier(KernelTier):
                 i_idx,
                 j_idx,
                 offsets,
-                members,
+                slots,
                 _as_f64(fp),
                 forces,
                 *lowered.args,
@@ -912,7 +899,7 @@ class NumbaKernelTier(KernelTier):
                 # locate the offending pair for the canonical diagnostic
                 # (error path only — worth a vectorized geometry pass)
                 ii, jj = self._color_phase_pairs(
-                    i_idx, j_idx, offsets, members
+                    i_idx, j_idx, offsets, slots
                 )
                 _, r = self._numpy.pair_geometry(positions, box, ii, jj)
                 k = int(np.argmin(r))
@@ -923,7 +910,7 @@ class NumbaKernelTier(KernelTier):
             "sdc_force_color_phase",
             compiled,
             lambda: super(NumbaKernelTier, self).sdc_force_color_phase(
-                potential, positions, box, i_idx, j_idx, offsets, members,
+                potential, positions, box, i_idx, j_idx, offsets, slots,
                 fp, forces,
             ),
         )

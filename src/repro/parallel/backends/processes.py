@@ -10,10 +10,13 @@ sharded engine uses:
   or box — the engine builds the grid, coloring, pair partition and color
   schedule, allocates one anonymous shared arena (positions, rho,
   embedding derivatives, forces and the cached pair geometry), binds
-  each worker's ``static_assignment`` chunk of every color into
+  each worker's ``static_assignment`` block of every color into
   ``density:<c>``/``force:<c>`` closures, and forks the group.  This
   honors the paper's amortization argument ("steps 1 and 2 will be done
-  when the neighbor list is created or updated", Section II.D);
+  when the neighbor list is created or updated", Section II.D).  The
+  pair partition is laid out in schedule order, so each block is one
+  pair slice: one pass over it per worker per color, not one per
+  subdomain;
 * each step syncs positions into the arena, zeroes the reduction arrays,
   and runs one group phase per color.  Within a phase, workers scatter
   concurrently **without any locks** — legal for exactly the reason the
@@ -41,7 +44,7 @@ from repro.core.partition import (
     build_pair_partition,
     build_partition,
 )
-from repro.core.schedule import ColorSchedule, build_schedule, static_assignment
+from repro.core.schedule import ColorSchedule, build_schedule
 from repro.md.atoms import Atoms
 from repro.md.neighbor.verlet import NeighborList
 from repro.parallel.backends.group import (
@@ -52,11 +55,12 @@ from repro.parallel.backends.group import (
 )
 from repro.potentials.base import EAMPotential
 from repro.potentials.eam import EAMComputation
+from repro.utils.identity import IdentityKey
 from repro.utils.profiler import PHASE_NEIGHBOR, PHASE_SETUP, PHASE_SYNC
 
 
 def _chunk_program(
-    chunks: Sequence[Sequence[int]],
+    ranges: Sequence[Tuple[int, int]],
     pairs: PairPartition,
     views: Dict[str, np.ndarray],
     potential: EAMPotential,
@@ -64,13 +68,15 @@ def _chunk_program(
     box,
     record_writes: bool,
 ) -> Program:
-    """One worker's phase closures: its chunk of every color, both passes.
+    """One worker's phase closures: its block of every color, both passes.
 
-    ``chunks[c]`` lists the worker's subdomains of color ``c``.  Each
-    closure returns ``(pair_energy, writes)``: the density pass sums the
-    chunk's pair energy while it holds each pair's distance, and
-    ``writes`` is the flat written-index list when ``record_writes`` is
-    on (the shadowed arrays write through to the arena), else None.
+    ``ranges[c]`` is the ``[lo, hi)`` pair range of the worker's block of
+    color ``c`` — consecutive slots of the schedule-ordered pair layout,
+    so each closure is one pair slice.  Each closure returns
+    ``(pair_energy, writes)``: the density pass sums the block's pair
+    energy while it holds each pair's distance, and ``writes`` is the
+    flat written-index list when ``record_writes`` is on (the shadowed
+    arrays write through to the arena), else None.
     """
     positions = views["positions"]
     rho = views["rho"]
@@ -78,7 +84,6 @@ def _chunk_program(
     forces = views["forces"]
     pair_delta = views["pair_delta"]
     pair_r = views["pair_r"]
-    offsets = pairs.offsets
     pair_i = pairs.i_idx
     pair_j = pairs.j_idx
 
@@ -90,28 +95,22 @@ def _chunk_program(
         log = TaskWriteLog()
         return wrap_array(array, name, log), log
 
-    def density(subdomains: Sequence[int]) -> Tuple[float, Optional[List[int]]]:
+    def density(lo: int, hi: int) -> Tuple[float, Optional[List[int]]]:
         target, log = shadow(rho, "rho")
         pair_energy = 0.0
-        for s in subdomains:
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            if lo == hi:
-                continue
+        if hi > lo:
             i_idx, j_idx = pair_i[lo:hi], pair_j[lo:hi]
             delta, r = tier.pair_geometry(positions, box, i_idx, j_idx)
             pair_delta[lo:hi] = delta
             pair_r[lo:hi] = r
-            pair_energy += float(np.sum(potential.pair_energy(r)))
+            pair_energy = float(np.sum(potential.pair_energy(r)))
             phi = tier.density_pair_values(potential, r)
             tier.scatter_rho_half(target, i_idx, j_idx, phi)
         return pair_energy, log.flat("rho").tolist() if log is not None else None
 
-    def force(subdomains: Sequence[int]) -> Tuple[float, Optional[List[int]]]:
+    def force(lo: int, hi: int) -> Tuple[float, Optional[List[int]]]:
         target, log = shadow(forces, "forces")
-        for s in subdomains:
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            if lo == hi:
-                continue
+        if hi > lo:
             i_idx, j_idx = pair_i[lo:hi], pair_j[lo:hi]
             # geometry cached by the density pass for these exact positions
             coeff = tier.force_pair_coefficients(
@@ -123,10 +122,9 @@ def _chunk_program(
         return 0.0, log.flat("forces").tolist() if log is not None else None
 
     program: Program = {"tier": lambda: tier.name}
-    for color, subdomains in enumerate(chunks):
-        subdomains = [int(s) for s in subdomains]
-        program[f"density:{color}"] = functools.partial(density, subdomains)
-        program[f"force:{color}"] = functools.partial(force, subdomains)
+    for color, (lo, hi) in enumerate(ranges):
+        program[f"density:{color}"] = functools.partial(density, lo, hi)
+        program[f"force:{color}"] = functools.partial(force, lo, hi)
     return program
 
 
@@ -169,7 +167,7 @@ class ProcessSDCCalculator(GroupEngine):
         self.record_writes = record_writes
         self.last_write_record: List[Tuple[str, List[List[int]]]] = []
         # epoch state, keyed on (neighbor list, potential, tier, box)
-        self._key: Optional[tuple] = None
+        self._key: Optional[IdentityKey] = None
         self._grid: Optional[SubdomainGrid] = None
         self._pairs: Optional[PairPartition] = None
         self._schedule: Optional[ColorSchedule] = None
@@ -249,10 +247,14 @@ class ProcessSDCCalculator(GroupEngine):
         failed compute also starts a new epoch.
         """
         box = atoms.box
-        key = (id(nlist), id(potential), self.kernel_tier,
-               tuple(box.lengths), tuple(box.periodic))
+        values = (self.kernel_tier, tuple(box.lengths), tuple(box.periodic))
         group = self._resources.group
-        if self._key == key and group is not None and not group.broken:
+        if (
+            self._key is not None
+            and self._key.matches(nlist, potential, values=values)
+            and group is not None
+            and not group.broken
+        ):
             count_health("sdc_decomp_cache_hit")
             return False
         count_health("sdc_decomp_cache_miss")
@@ -262,10 +264,10 @@ class ProcessSDCCalculator(GroupEngine):
         coloring = lattice_coloring(grid)
         validate_coloring(grid, coloring)
         partition = build_partition(nlist.reference_positions, grid)
-        self._pairs = build_pair_partition(partition, nlist)
         self._schedule = build_schedule(coloring)
+        self._pairs = build_pair_partition(partition, nlist, self._schedule)
         self._grid = grid
-        self._key = key
+        self._key = IdentityKey(nlist, potential, values=values)
         return True
 
     def _bind_epoch(self, potential: EAMPotential, atoms: Atoms) -> None:
@@ -280,15 +282,16 @@ class ProcessSDCCalculator(GroupEngine):
             "pair_r": (n_pairs,),
         }
         arena = self._resources.arena = _Arena([layout])
-        phases = self._schedule.phases
-        assignments = [
-            static_assignment(len(members), self.n_workers) for members in phases
+        pairs = self._pairs
+        blocks = [
+            self._schedule.thread_assignment(color, self.n_workers)
+            for color in range(self._schedule.n_colors)
         ]
         tier = self._resolved_tier()
         self._programs = [
             _chunk_program(
-                [members[chunks[w]] for members, chunks in zip(phases, assignments)],
-                self._pairs,
+                [pairs.pair_range(color_blocks[w]) for color_blocks in blocks],
+                pairs,
                 arena.views[0],
                 potential,
                 tier,

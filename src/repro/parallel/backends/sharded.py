@@ -91,15 +91,9 @@ from repro.parallel.backends.group import (
 )
 from repro.parallel.cluster import node_grid
 from repro.potentials.base import EAMPotential
-from repro.potentials.eam import (
-    EAMComputation,
-    density_pair_values,
-    force_pair_coefficients,
-    pair_geometry,
-    scatter_force_half,
-    scatter_rho_half,
-)
+from repro.potentials.eam import EAMComputation
 from repro.utils.arrays import scatter_add
+from repro.utils.identity import IdentityKey
 
 __all__ = [
     "HaloSpec",
@@ -357,8 +351,8 @@ def _build_shard_plan(
         sub_grid = SubdomainGrid(box=ext_box, counts=(1, 1, 1), reach=reach)
     coloring = lattice_coloring(sub_grid)
     partition = build_partition(build_pos, sub_grid)
-    pairs = group_pairs(partition, i_idx, j_idx)
     schedule = build_schedule(coloring)
+    pairs = group_pairs(partition, i_idx, j_idx, schedule)
     return _ShardPlan(
         shard=shard,
         owned=owned,
@@ -384,33 +378,28 @@ def _make_shard_program(
 ) -> Program:
     """Phase closures of one shard, bound to its arena views.
 
-    Each scatter phase walks the intra-shard color schedule subdomain by
-    subdomain through the same kernel-tier primitives the single-box SDC
-    strategy dispatches — coloring and tier dispatch reused unchanged.
+    Each scatter phase walks the intra-shard color schedule one color at
+    a time through the same kernel-tier color-phase drivers the
+    single-box SDC strategy uses; the shard's pairs are laid out in
+    schedule order, so each color is one pair slice.
     """
     positions = views["positions"]
     rho = views["rho"]
     fp = views["fp"]
     forces = views["forces"]
     pairs = plan.pairs
-    schedule = plan.schedule
     ext_box = plan.ext_box
     n_owned = plan.n_owned
+    color_slots = [pairs.slots(members) for members in plan.schedule.phases]
 
     def density() -> float:
-        pair_energy = 0.0
-        for members in schedule.phases:
-            for sub in members:
-                i_idx, j_idx = pairs.pairs_of(int(sub))
-                if len(i_idx) == 0:
-                    continue
-                _, r = pair_geometry(
-                    positions, ext_box, i_idx, j_idx, tier=tier
-                )
-                phi = density_pair_values(potential, r, tier=tier)
-                scatter_rho_half(rho, i_idx, j_idx, phi, tier=tier)
-                pair_energy += float(np.sum(potential.pair_energy(r)))
-        return pair_energy
+        return sum(
+            tier.sdc_density_color_phase(
+                potential, positions, ext_box, pairs.i_idx, pairs.j_idx,
+                pairs.offsets, slots, rho,
+            )
+            for slots in color_slots
+        )
 
     def embedding() -> float:
         if n_owned == 0:
@@ -421,25 +410,11 @@ def _make_shard_program(
         return energy
 
     def force() -> None:
-        for members in schedule.phases:
-            for sub in members:
-                i_idx, j_idx = pairs.pairs_of(int(sub))
-                if len(i_idx) == 0:
-                    continue
-                delta, r = pair_geometry(
-                    positions, ext_box, i_idx, j_idx, tier=tier
-                )
-                coeff = force_pair_coefficients(
-                    potential,
-                    r,
-                    fp[i_idx],
-                    fp[j_idx],
-                    pair_ids=(i_idx, j_idx),
-                    tier=tier,
-                )
-                scatter_force_half(
-                    forces, i_idx, j_idx, coeff[:, None] * delta, tier=tier
-                )
+        for slots in color_slots:
+            tier.sdc_force_color_phase(
+                potential, positions, ext_box, pairs.i_idx, pairs.j_idx,
+                pairs.offsets, slots, fp, forces,
+            )
         return None
 
     return {"density": density, "embedding": embedding, "force": force}
@@ -513,11 +488,11 @@ class ShardedSDCCalculator(GroupEngine):
         self.dims = dims
         self.engine = engine
         # epoch state
-        self._cached_key: Optional[tuple] = None
+        self._cached_key: Optional[IdentityKey] = None
         self._shard_grid: Optional[ShardGrid] = None
         self._plans: List[_ShardPlan] = []
         # ownership cache + migration accounting (keyed on nlist identity)
-        self._ownership_key: Optional[int] = None
+        self._ownership_key: Optional[IdentityKey] = None
         self._ownership: Optional[Tuple[ShardGrid, np.ndarray]] = None
         self._prev_assignment: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # lifecycle counters surfaced by health_snapshot()
@@ -611,7 +586,9 @@ class ShardedSDCCalculator(GroupEngine):
         self, atoms: Atoms, nlist: NeighborList
     ) -> Tuple[ShardGrid, np.ndarray]:
         """Shard ownership for this neighbor list (cached, accounted once)."""
-        if self._ownership_key == id(nlist) and self._ownership is not None:
+        if self._ownership_key is not None and self._ownership_key.matches(
+            nlist
+        ):
             return self._ownership
         grid = make_shard_grid(atoms.box, self.n_shards)
         shard_of = grid.shard_of_positions(nlist.reference_positions)
@@ -641,7 +618,7 @@ class ShardedSDCCalculator(GroupEngine):
             )
             count_health("sharded_migration_events")
         self._prev_assignment = (ids.copy(), shard_of.copy())
-        self._ownership_key = id(nlist)
+        self._ownership_key = IdentityKey(nlist)
         self._ownership = (grid, shard_of)
         return self._ownership
 
@@ -653,9 +630,13 @@ class ShardedSDCCalculator(GroupEngine):
         """(Re)build shards, halo, arena and worker group when the
         neighbor list (or the tier/potential binding) changed."""
         tier = self._resolved_tier()
-        key = (id(nlist), id(potential), tier.name)
         group = self._resources.group
-        if self._cached_key == key and group is not None and not group.broken:
+        if (
+            self._cached_key is not None
+            and self._cached_key.matches(nlist, potential, values=(tier.name,))
+            and group is not None
+            and not group.broken
+        ):
             count_health("sharded_epoch_cache_hit")
             return
         count_health("sharded_epoch_cache_miss")
@@ -699,7 +680,7 @@ class ShardedSDCCalculator(GroupEngine):
         self._shard_grid = grid
         self._plans = plans
         self._n_epochs += 1
-        self._cached_key = key
+        self._cached_key = IdentityKey(nlist, potential, values=(tier.name,))
         n_ghosts = int(sum(plan.n_ghosts for plan in plans))
         self._health(
             "shard-epoch",

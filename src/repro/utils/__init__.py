@@ -1,4 +1,5 @@
-"""Shared low-level utilities: CSR arrays, validation, RNG, timing."""
+"""Shared low-level utilities: CSR arrays, validation, RNG, timing,
+identity-keyed caches."""
 
 from repro.utils.arrays import (
     CSR,
@@ -8,6 +9,7 @@ from repro.utils.arrays import (
     scatter_add,
     segment_sum,
 )
+from repro.utils.identity import IdentityKey
 from repro.utils.rng import default_rng, spawn_rngs
 from repro.utils.timers import Counter, Stopwatch, median_iqr
 from repro.utils.validation import (
@@ -24,6 +26,7 @@ __all__ = [
     "invert_permutation",
     "scatter_add",
     "segment_sum",
+    "IdentityKey",
     "default_rng",
     "spawn_rngs",
     "Counter",

@@ -134,6 +134,84 @@ class TestSDCSpecifics:
             strategy.compute(potential, small_atoms.copy(), small_nlist)
 
 
+class _PhaseSpy(SerialBackend):
+    """Serial backend that records how many closures each phase gets."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.phase_sizes = []
+
+    def run_phase(self, closures) -> None:
+        closures = list(closures)
+        self.phase_sizes.append(len(closures))
+        super().run_phase(closures)
+
+
+@pytest.fixture(scope="module")
+def wide_system(potential):
+    """bcc 12^3 (3456 atoms): a dims=2 grid with several subdomains per
+    color, so thread blocks hold more than one subdomain."""
+    from repro.geometry import bcc_lattice
+    from repro.geometry.lattice import perturb_positions
+    from repro.md import Atoms, build_neighbor_list
+    from repro.potentials import compute_eam_forces_serial
+
+    positions, box = bcc_lattice(2.8665, (12, 12, 12))
+    positions = perturb_positions(
+        positions, box, 0.08, np.random.default_rng(3)
+    )
+    atoms = Atoms(box=box, positions=positions)
+    nlist = build_neighbor_list(positions, box, potential.cutoff, skin=0.3)
+    reference = compute_eam_forces_serial(potential, atoms.copy(), nlist)
+    return atoms, nlist, reference
+
+
+class TestSDCTaskGranularity:
+    """One closure per thread block per color; one per subdomain under
+    the race detector."""
+
+    def _color_phase_sizes(self, strategy, spy):
+        n_colors = strategy.schedule.n_colors
+        sizes = spy.phase_sizes
+        assert len(sizes) == 2 * n_colors + 1  # density, embedding, force
+        return sizes[:n_colors], sizes[n_colors + 1 :]
+
+    @pytest.mark.parametrize("n_threads", [1, 2, 3])
+    def test_at_most_one_closure_per_thread(
+        self, potential, wide_system, n_threads
+    ):
+        atoms, nlist, reference = wide_system
+        spy = _PhaseSpy()
+        strategy = SDCStrategy(dims=2, n_threads=n_threads, backend=spy)
+        result = strategy.compute(potential, atoms.copy(), nlist)
+        assert_matches_reference(result, reference)
+        density, force = self._color_phase_sizes(strategy, spy)
+        members = [len(m) for m in strategy.schedule.phases]
+        assert max(members) > 1
+        expected = [min(n_threads, m) for m in members]
+        assert density == expected
+        assert force == expected
+        assert max(density) <= n_threads
+
+    def test_instrumented_run_keeps_one_closure_per_subdomain(
+        self, potential, wide_system
+    ):
+        from repro.analysis.racecheck import run_instrumented
+
+        atoms, nlist, reference = wide_system
+        spy = _PhaseSpy()
+        strategy = SDCStrategy(dims=2, n_threads=2, backend=spy)
+        result, recorder = run_instrumented(
+            strategy, potential, atoms.copy(), nlist
+        )
+        assert_matches_reference(result, reference)
+        assert not recorder.conflicts
+        density, force = self._color_phase_sizes(strategy, spy)
+        members = [len(m) for m in strategy.schedule.phases]
+        assert density == members
+        assert force == members
+
+
 class TestRCSpecifics:
     def test_full_list_cached(self, potential, sdc_atoms, sdc_nlist):
         strategy = RedundantComputationStrategy(n_threads=2)

@@ -317,7 +317,7 @@ class TestFusedColorPhases:
                         pairs.i_idx,
                         pairs.j_idx,
                         pairs.offsets,
-                        np.asarray(members, dtype=np.int64),
+                        pairs.slots(members),
                         rho,
                     )
                 )
@@ -328,7 +328,7 @@ class TestFusedColorPhases:
                     pairs.i_idx,
                     pairs.j_idx,
                     pairs.offsets,
-                    np.asarray(members, dtype=np.int64),
+                    pairs.slots(members),
                     fp,
                     forces,
                 )
@@ -358,3 +358,72 @@ class TestFusedColorPhases:
                 members,
                 rho,
             )
+
+
+class TestSlotSlices:
+    """The generic color-phase drivers run consecutive slots as one slice."""
+
+    OFFSETS = np.array([0, 2, 5, 5, 9], dtype=np.int64)
+
+    @pytest.mark.parametrize(
+        "slots, ranges",
+        [
+            ([], []),
+            ([0, 1, 3], [(0, 5), (5, 9)]),
+            ([1, 2, 3], [(2, 9)]),
+            ([3, 0], [(5, 9), (0, 2)]),
+            ([2], []),
+        ],
+    )
+    def test_slot_ranges(self, slots, ranges):
+        from repro.kernels.base import slot_ranges
+
+        assert slot_ranges(self.OFFSETS, slots) == ranges
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_slot_out_of_range(self, bad):
+        from repro.kernels.base import slot_ranges
+
+        with pytest.raises(IndexError, match="slot outside"):
+            slot_ranges(self.OFFSETS, [0, bad])
+
+    def test_one_slice_matches_slot_by_slot_bitwise(self, potential):
+        """Same-color write sets are disjoint, so each atom receives its
+        contributions in the same order either way."""
+        from repro.core.coloring import lattice_coloring
+        from repro.core.domain import decompose
+        from repro.core.partition import build_pair_partition, build_partition
+        from repro.core.schedule import build_schedule
+        from repro.geometry import bcc_lattice
+        from repro.geometry.lattice import perturb_positions
+        from repro.md import build_neighbor_list
+
+        tier = kernels.get("numpy")
+        positions, box = bcc_lattice(2.8665, (12, 12, 6))
+        positions = perturb_positions(
+            positions, box, 0.08, np.random.default_rng(5)
+        )
+        nlist = build_neighbor_list(positions, box, potential.cutoff, skin=0.3)
+        grid = decompose(box, reach=nlist.cutoff + nlist.skin, dims=2)
+        schedule = build_schedule(lattice_coloring(grid))
+        pairs = build_pair_partition(
+            build_partition(nlist.reference_positions, grid), nlist, schedule
+        )
+        n = len(positions)
+        fp = np.linspace(-1.0, 1.0, n)
+        args = (potential, positions, box, pairs.i_idx, pairs.j_idx, pairs.offsets)
+
+        def run(split):
+            rho = np.zeros(n)
+            forces = np.zeros((n, 3))
+            for members in schedule.phases:
+                slots = pairs.slots(members)
+                chunks = [slots[k : k + 1] for k in range(len(slots))]
+                for chunk in chunks if split else [slots]:
+                    tier.sdc_density_color_phase(*args, chunk, rho)
+                    tier.sdc_force_color_phase(*args, chunk, fp, forces)
+            return rho, forces
+
+        assert max(len(m) for m in schedule.phases) > 1
+        for whole, split in zip(run(split=False), run(split=True)):
+            assert np.array_equal(whole, split)

@@ -1,11 +1,14 @@
-"""400-step cross-engine trajectory check: both process engines vs serial.
+"""400-step cross-engine trajectory check: the SDC engines vs serial.
 
 Both process engines fork their worker group once per neighbor-list
-epoch, so a long run exercises many forks, arenas and decompositions.
-The serial kernels, ``ProcessSDCCalculator(dims=2, n_workers=2)`` and
-``ShardedSDCCalculator(n_shards=4)`` start from identical seeded inputs
-(bcc 8^3, 1024 atoms, 600 K, NVE) and must end at the same positions
-and with the same energy drift to floating-point noise.
+epoch, so a long run exercises many forks, arenas and decompositions;
+the threaded ``SDCStrategy`` re-decomposes at every epoch and runs one
+pair slice per thread per color.  The serial kernels,
+``ProcessSDCCalculator(dims=2, n_workers=2)``,
+``ShardedSDCCalculator(n_shards=4)`` and ``SDCStrategy(dims=3,
+n_threads=2)`` on a two-thread backend start from identical seeded
+inputs (bcc 8^3, 1024 atoms, 600 K, NVE) and must end at the same
+positions and with the same energy drift to floating-point noise.
 """
 
 from __future__ import annotations
@@ -49,16 +52,21 @@ def serial_run(potential):
 
 
 def _engines():
+    from repro.core.strategies import SDCStrategy
+    from repro.parallel.backends import ThreadBackend
     from repro.parallel.backends.processes import ProcessSDCCalculator
     from repro.parallel.backends.sharded import ShardedSDCCalculator
 
     return {
         "processes": lambda: ProcessSDCCalculator(dims=2, n_workers=2),
         "sharded": lambda: ShardedSDCCalculator(n_shards=4),
+        "threads-sdc": lambda: SDCStrategy(
+            dims=3, n_threads=2, backend=ThreadBackend(2)
+        ),
     }
 
 
-@pytest.mark.parametrize("engine", ["processes", "sharded"])
+@pytest.mark.parametrize("engine", ["processes", "sharded", "threads-sdc"])
 def test_400_steps_match_serial(potential, serial_run, engine):
     serial_positions, serial_drift, serial_rebuilds = serial_run
     # the workload must span many epochs, or the check pins nothing
